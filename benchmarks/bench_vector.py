@@ -1,20 +1,21 @@
-"""Bench-vector: columnar engine throughput vs the plan engine.
+"""Bench-vector: columnar engine throughput vs generated code.
 
 Measures run-only events/sec (compile excluded, monitors built once
-outside the timed region) for the plan engine's batch path against the
-vector engine's two ingestion paths — row batches (``feed_batch``) and
-columnar handoff (``feed_columns``) — on the paper's Fig. 9 synthetic
-trace and the Fig. 10 trace-length scaling sweep.
+outside the timed region) for the generated codegen monitor's batch
+path — the fastest scalar path — against the vector engine's two
+ingestion paths — row batches (``feed_batch``) and columnar handoff
+(``feed_columns``) — on the paper's Fig. 9 synthetic trace and the
+Fig. 10 trace-length scaling sweep.
 
 Honesty note, recorded in the JSON as well: the paper's Fig. 9/10
-*monitor* is the Seen Set, whose set-typed family is vector-ineligible
-by design — under ``engine="vector"`` it takes the certified per-family
-fallback and runs at plan speed (measured here as
-``seen_set_fallback``).  The columnar speedup is therefore measured on
-a vector-eligible scalar alert chain driven by the *same* Fig. 9/10
-synthetic traces, which is the workload shape the vector engine exists
-for.  The ≥10x gate applies to the columnar-ingestion headline and is
-enforced only when numpy is importable (``threshold_enforced``).
+*monitor* is the Seen Set, whose set-typed streams have no columnar
+lowering — ``engine="auto"`` runs it on generated code (measured here
+as ``seen_set_auto``, ~1.0x by construction).  The columnar speedup is
+therefore measured on a fully columnar scalar alert chain driven by the
+*same* Fig. 9/10 synthetic traces, which is the workload shape the
+vector engine exists for.  The gate applies to the columnar-ingestion
+headline and is enforced only when numpy is importable
+(``threshold_enforced``).
 
 Usage::
 
@@ -52,7 +53,7 @@ FIG9_EVENTS = 50_000
 FIG10_LENGTHS = (5_000, 20_000, 50_000)
 BATCH_SIZE = 4_096
 REPEATS = 5
-THRESHOLD = 10.0
+THRESHOLD = 1.5
 
 
 def _trace(length):
@@ -73,18 +74,18 @@ def _best(fn, repeats=REPEATS):
 
 
 def measure_pair(spec_text, length):
-    """plan feed_batch vs vector feed_batch / feed_columns, run-only."""
+    """codegen feed_batch vs vector feed_batch / feed_columns, run-only."""
     rows, ts_column, value_column = _trace(length)
     sink = lambda name, ts, value: None  # noqa: E731
     run_opts = api.RunOptions(batch_size=BATCH_SIZE)
-    plan = api.compile(spec_text, api.CompileOptions(engine="plan"))
+    codegen = api.compile(spec_text, api.CompileOptions(engine="codegen"))
     vector = api.compile(spec_text, api.CompileOptions(engine="vector"))
     assert vector.engine_resolved == "vector"
 
     columns = {"i": value_column}
     timings = {
-        "plan_feed_batch": _best(
-            lambda: api.run(plan, rows, run_opts, on_output=sink)
+        "codegen_feed_batch": _best(
+            lambda: api.run(codegen, rows, run_opts, on_output=sink)
         ),
         "vector_feed_batch": _best(
             lambda: api.run(vector, rows, run_opts, on_output=sink)
@@ -100,17 +101,18 @@ def measure_pair(spec_text, length):
             for label, seconds in timings.items()
         },
         "speedup_feed_batch": round(
-            timings["plan_feed_batch"] / timings["vector_feed_batch"], 2
+            timings["codegen_feed_batch"] / timings["vector_feed_batch"], 2
         ),
         "speedup_feed_columns": round(
-            timings["plan_feed_batch"] / timings["vector_feed_columns"], 2
+            timings["codegen_feed_batch"] / timings["vector_feed_columns"], 2
         ),
     }
     return result
 
 
-def measure_seen_set_fallback(length=10_000):
-    """The paper's own monitor: ineligible, must run at plan speed."""
+def measure_seen_set_auto(length=10_000):
+    """The paper's own monitor: not columnar, so auto runs it on
+    generated code — the same class as an explicit codegen compile."""
     from repro.speclib import seen_set
 
     inputs = seen_set_trace(length, SET_SIZE)
@@ -121,20 +123,23 @@ def measure_seen_set_fallback(length=10_000):
     )
     sink = lambda name, ts, value: None  # noqa: E731
     run_opts = api.RunOptions(batch_size=BATCH_SIZE)
-    plan = api.compile(seen_set(), api.CompileOptions(engine="plan"))
-    vector = api.compile(seen_set(), api.CompileOptions(engine="vector"))
-    fallback = [d.code for d in vector.diagnostics()]
-    plan_s = _best(lambda: api.run(plan, rows, run_opts, on_output=sink), 3)
-    vec_s = _best(lambda: api.run(vector, rows, run_opts, on_output=sink), 3)
+    codegen = api.compile(seen_set(), api.CompileOptions(engine="codegen"))
+    auto = api.compile(seen_set(), api.CompileOptions(engine="auto"))
+    assert auto.engine_resolved == "codegen"
+    codegen_s = _best(
+        lambda: api.run(codegen, rows, run_opts, on_output=sink), 3
+    )
+    auto_s = _best(lambda: api.run(auto, rows, run_opts, on_output=sink), 3)
     return {
         "events": length,
-        "diagnostics": fallback,
-        "plan_events_per_sec": round(length / plan_s),
-        "vector_events_per_sec": round(length / vec_s),
-        "speedup": round(plan_s / vec_s, 2),
-        "note": "set-typed family is vector-ineligible; the vector"
-        " engine takes the certified plan fallback, so ~1.0x here"
-        " is correct behavior, not a regression",
+        "engine_resolved": auto.engine_resolved,
+        "diagnostics": sorted({d.code for d in auto.diagnostics()}),
+        "codegen_events_per_sec": round(length / codegen_s),
+        "auto_events_per_sec": round(length / auto_s),
+        "speedup": round(codegen_s / auto_s, 2),
+        "note": "set-typed streams have no columnar lowering; auto"
+        " resolves to generated code, so ~1.0x here is correct"
+        " behavior, not a regression",
     }
 
 
@@ -147,7 +152,7 @@ def main(argv=None):
         "--threshold",
         type=float,
         default=THRESHOLD,
-        help="minimum columnar-ingestion speedup vs the plan engine",
+        help="minimum columnar-ingestion speedup vs generated code",
     )
     args = parser.parse_args(argv)
 
@@ -160,9 +165,10 @@ def main(argv=None):
         "workload": "Fig. 9 synthetic trace + Fig. 10 length sweep"
         " (seen_set_trace, set size 200)",
         "substitution_note": "the paper's Seen Set monitor itself is"
-        " vector-ineligible (set-typed) and measured separately as"
-        " seen_set_fallback; the speedup target applies to the"
-        " vector-eligible scalar chain on the same traces",
+        " not columnar (set-typed) and measured separately as"
+        " seen_set_auto; the speedup target applies to the fully"
+        " columnar scalar chain on the same traces",
+        "baseline": "codegen feed_batch (the fastest scalar path)",
         "batch_size": BATCH_SIZE,
         "repeats": REPEATS,
         "timing": "run-only, best of N (compile excluded; monitors"
@@ -187,7 +193,7 @@ def main(argv=None):
             str(length): measure_pair(SCALAR_ALERT_TEXT, length)
             for length in FIG10_LENGTHS
         }
-        fallback = measure_seen_set_fallback()
+        seen_set_auto = measure_seen_set_auto()
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -197,7 +203,7 @@ def main(argv=None):
         {
             "fig9": fig9,
             "fig10_scaling": fig10,
-            "seen_set_fallback": fallback,
+            "seen_set_auto": seen_set_auto,
             "headline_speedup_columnar": headline,
         }
     )
@@ -208,12 +214,12 @@ def main(argv=None):
 
     if headline < args.threshold:
         print(
-            f"FAIL: columnar ingestion is {headline:.2f}x the plan"
-            f" engine, below the {args.threshold:.1f}x threshold",
+            f"FAIL: columnar ingestion is {headline:.2f}x generated"
+            f" code, below the {args.threshold:.1f}x threshold",
             file=sys.stderr,
         )
         return 1
-    print(f"ok: columnar ingestion is {headline:.2f}x the plan engine")
+    print(f"ok: columnar ingestion is {headline:.2f}x generated code")
     return 0
 
 

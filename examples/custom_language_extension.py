@@ -8,7 +8,7 @@ the compiler decide mutability.  The example maintains a sliding
 top-score table in a Vector with a custom in-place `bump` operation.
 """
 
-from repro import INT, Last, Lift, Merge, Specification, UnitExpr, Var, compile_spec
+from repro import INT, Last, Lift, Merge, Specification, UnitExpr, Var, build_compiled_spec
 from repro.lang.builtins import Access, EventPattern, LiftedFunction, builtin, pointwise
 from repro.lang.types import VectorType
 
@@ -58,13 +58,13 @@ def main() -> None:
         type_annotations={"scores": VectorType(INT)},
     )
 
-    compiled = compile_spec(spec, optimize=True)
+    compiled = build_compiled_spec(spec, optimize=True)
     print("mutability analysis for the custom operator:")
     print(compiled.analysis.summary())
     print()
 
     trace = {"hit": [(t, t * 13 % 31) for t in range(1, 40)]}
-    out = compiled.run(trace)
+    out = compiled.run_traces(trace)
     print("best-score stream (last 5 events):", out["best"].events[-5:])
     print(
         "\nThe custom `bump` writes its vector in place:",

@@ -17,7 +17,7 @@ persistent baseline.
 
 import time
 
-from repro import compile_spec
+from repro import build_compiled_spec
 from repro.speclib import db_access_constraint, db_time_constraint
 from repro.workloads import db_access_trace, db_time_trace
 
@@ -35,13 +35,13 @@ def timed_run(compiled, inputs):
 
     monitor = compiled.new_monitor(on_output)
     start = time.perf_counter()
-    monitor.run(inputs)
+    monitor.run_traces(inputs)
     return time.perf_counter() - start, checks[0], violations[0]
 
 
 def report(title, spec, inputs):
-    optimized = compile_spec(spec, optimize=True)
-    baseline = compile_spec(spec, optimize=False)
+    optimized = build_compiled_spec(spec, optimize=True)
+    baseline = build_compiled_spec(spec, optimize=False)
     t_opt, checks, violations = timed_run(optimized, inputs)
     t_base, _, violations_base = timed_run(baseline, inputs)
     assert violations == violations_base

@@ -13,7 +13,7 @@ emitting request events, monitored for (a) duplicate request ids,
   resumed in a fresh process-like monitor, with identical results.
 """
 
-from repro import compile_spec
+from repro import build_compiled_spec
 from repro.compiler import collecting_callback
 from repro.lang import INT, Specification
 from repro.lang.compose import compose, substitute_inputs
@@ -32,7 +32,7 @@ def main() -> None:
     # watchdog spec is written against "hb", so rewire its input first
     wd_over_i = substitute_inputs(watchdog(timeout=25), {"hb": "i"})
     combined = compose(duplicate_detector(), wd_over_i)
-    compiled = compile_spec(combined)
+    compiled = build_compiled_spec(combined)
     print("combined monitor:")
     print("  outputs:", compiled.monitor_class.OUTPUTS)
     print("  mutable:", sorted(compiled.mutable_streams))

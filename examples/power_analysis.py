@@ -9,7 +9,7 @@ simulated building power trace with injected peaks.
 
 import time
 
-from repro import compile_spec
+from repro import build_compiled_spec
 from repro.speclib import peak_detection, spectrum_calculation
 from repro.workloads import power_trace
 
@@ -26,19 +26,19 @@ def main() -> None:
 
     # --- PeakDetection ---------------------------------------------------
     spec = peak_detection(window=30, deviation=0.4)
-    optimized = compile_spec(spec, optimize=True)
+    optimized = build_compiled_spec(spec, optimize=True)
     peaks = [0]
     optimized_monitor = optimized.new_monitor(
         lambda n, t, v: peaks.__setitem__(0, peaks[0] + (1 if v else 0))
     )
     start = time.perf_counter()
-    optimized_monitor.run(inputs)
+    optimized_monitor.run_traces(inputs)
     t_opt = time.perf_counter() - start
 
-    baseline = compile_spec(spec, optimize=False)
+    baseline = build_compiled_spec(spec, optimize=False)
     baseline_monitor = baseline.new_monitor()
     start = time.perf_counter()
-    baseline_monitor.run(inputs)
+    baseline_monitor.run_traces(inputs)
     t_base = time.perf_counter() - start
 
     print("PeakDetection (30-sample moving average, 40% deviation):")
@@ -49,14 +49,14 @@ def main() -> None:
 
     # --- SpectrumCalculation ----------------------------------------------
     spec = spectrum_calculation(bucket_width=250.0, threshold=5000.0)
-    compiled = compile_spec(spec, optimize=True)
+    compiled = build_compiled_spec(spec, optimize=True)
     above = [0]
 
     def on_output(name, ts, value):
         if name == "above":
             above[0] = value
 
-    compiled.new_monitor(on_output).run(inputs)
+    compiled.new_monitor(on_output).run_traces(inputs)
     print("SpectrumCalculation (250 W histogram buckets):")
     print(f"  samples above 5 kW : {above[0]}"
           f" ({100 * above[0] / SAMPLES:.2f}% of the trace)")

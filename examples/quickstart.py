@@ -8,7 +8,7 @@ it twice — optimized (mutable set, in-place updates) and non-optimized
 agree while the optimized monitor updates one single object in place.
 """
 
-from repro import compile_spec, parse_spec
+from repro import build_compiled_spec, parse_spec
 
 SPEC = """
 -- Figure 1 of the paper: "was this value seen before?"
@@ -26,8 +26,8 @@ out s
 def main() -> None:
     spec = parse_spec(SPEC)
 
-    optimized = compile_spec(spec, optimize=True)
-    baseline = compile_spec(spec, optimize=False)
+    optimized = build_compiled_spec(spec, optimize=True)
+    baseline = build_compiled_spec(spec, optimize=False)
 
     print("=== mutability analysis ===")
     print(optimized.analysis.summary())
@@ -36,8 +36,8 @@ def main() -> None:
     print(optimized.source)
 
     trace = {"i": [(1, 4), (2, 7), (3, 4), (5, 9), (8, 7)]}
-    out_opt = optimized.run(trace)
-    out_base = baseline.run(trace)
+    out_opt = optimized.run_traces(trace)
+    out_base = baseline.run_traces(trace)
 
     print("=== outputs ===")
     print("optimized:    ", out_opt["s"].events)

@@ -1,13 +1,10 @@
 """The single-entry public API: ``compile`` and ``run``.
 
-Historically the project grew four overlapping entry points —
-``compile_spec`` (eight keywords), ``MonitorBase.run``,
-``CompiledSpec.run`` and ``HardenedRunner`` (another seven keywords) —
-each with a different slice of the option space.  This module replaces
-that sprawl with two calls and two frozen option dataclasses:
+Two calls and two frozen option dataclasses cover the whole option
+space:
 
 >>> from repro import api
->>> monitor = api.compile(source, api.CompileOptions(engine="plan"))
+>>> monitor = api.compile(source, api.CompileOptions(engine="codegen"))
 >>> report = api.run(monitor, events, api.RunOptions(batch_size=4096))
 
 * :class:`CompileOptions` — everything that shapes the compiled
@@ -26,9 +23,6 @@ that sprawl with two calls and two frozen option dataclasses:
   ``(ts, stream, value)`` tuples or a mapping of per-stream traces)
   through a :class:`~repro.compiler.runtime.MonitorRunner` and returns
   the :class:`~repro.compiler.runtime.RunReport`.
-
-The legacy entry points still work but emit ``DeprecationWarning`` and
-delegate here (or to the engine-room functions this module wraps).
 """
 
 from __future__ import annotations
@@ -61,7 +55,7 @@ __all__ = [
     "run_many",
 ]
 
-_ENGINES = ("auto", "codegen", "interpreted", "plan", "vector")
+_ENGINES = ("auto", "codegen", "vector")
 _PARTITION_MODES = ("off", "auto")
 _POOL_BACKENDS = ("process", "thread")
 _POOL_TRANSPORTS = ("auto", "shm", "pipe")
@@ -88,12 +82,12 @@ class CompileOptions:
     backend: Union[Backend, str, None] = None
     #: Execution engine: ``"auto"`` (the default — resolve per spec:
     #: the columnar :mod:`vector <repro.compiler.vector>` engine when
-    #: every output-reachable stream family is vector-eligible and
-    #: numpy is importable, else ``"plan"``), or one of the explicit
-    #: engines ``"codegen"``, ``"interpreted"``, ``"plan"``,
-    #: ``"vector"``.  The resolved engine is observable as
-    #: :attr:`Monitor.engine_resolved`; per-family fallbacks surface as
-    #: ``VEC001`` diagnostics.
+    #: the columnar program covers the whole spec and numpy is
+    #: importable, else ``"codegen"``, the generated monitor), or one
+    #: of the explicit engines ``"codegen"`` and ``"vector"`` (which
+    #: raises ``ValueError`` on a spec it cannot run).  The resolved
+    #: engine is observable as :attr:`Monitor.engine_resolved`; the
+    #: reasons for a codegen resolution surface as ``VEC00x`` notes.
     engine: str = "auto"
     #: Hardened error-propagating evaluation (``None`` — seed-exact).
     error_policy: Union[ErrorPolicy, str, None] = None
@@ -104,10 +98,6 @@ class CompileOptions:
     #: certified to never demote a mutable stream, surfaced as
     #: ``OPT00x`` diagnostics.
     rewrite: bool = False
-    #: Deprecated (subsumed by ``rewrite`` — the optimizer's OPT005
-    #: dead-stream rule): remove streams that cannot influence any
-    #: output.
-    prune_dead: bool = False
     #: Name of the generated monitor class.
     class_name: str = "GeneratedMonitor"
     #: Plan-cache directory (or a :class:`PlanCache`): persist and
@@ -160,10 +150,9 @@ class CompileOptions:
             "optimize": self.optimize,
             "backend_override": self.backend,
             "class_name": self.class_name,
-            # The partitioned flat is already final: pruning and the
-            # rewrite pass (if any) ran on the whole spec before it was
-            # split, so replays must not transform it again.
-            "prune_dead": False,
+            # The partitioned flat is already final: the rewrite pass
+            # (if any) ran on the whole spec before it was split, so
+            # replays must not transform it again.
             "rewrite": False,
             "engine": self.engine,
             "error_policy": self.error_policy,
@@ -337,17 +326,16 @@ class Monitor:
     def engine_resolved(self) -> str:
         """The engine actually compiled — never ``"auto"``.
 
-        With ``engine="auto"`` this is ``"vector"`` when every
-        output-reachable stream family passed the vector-eligibility
-        classification (and numpy is importable), else ``"plan"``.
-        The resolved engine — not the ``"auto"`` request — is what
-        enters :attr:`fingerprint`.
+        With ``engine="auto"`` this is ``"vector"`` when the columnar
+        program covers the whole spec (and numpy is importable), else
+        ``"codegen"``.  Neither enters :attr:`fingerprint`: both
+        engines share cached plans and checkpoints.
         """
         return self.compiled.engine
 
     @property
     def source(self) -> str:
-        """The generated Python source (engine-dependent)."""
+        """The generated Python source of the monitor."""
         return self.compiled.source
 
     @property
@@ -449,7 +437,6 @@ def compile(
             optimize=options.optimize,
             backend_override=options.backend,
             class_name=options.class_name,
-            prune_dead=options.prune_dead,
             engine=options.engine,
             error_policy=options.error_policy,
             alias_guard=options.alias_guard,
@@ -462,7 +449,6 @@ def compile(
         optimize=options.optimize,
         backend_override=options.backend,
         class_name=options.class_name,
-        prune_dead=options.prune_dead,
         engine=options.engine,
         error_policy=options.error_policy,
         alias_guard=options.alias_guard,

@@ -53,10 +53,8 @@ reproducing the uninterrupted run's output file exactly,
 
 ``--engine`` selects the execution engine (``auto`` — the default,
 resolving to the columnar ``vector`` engine when the whole spec is
-vector-eligible and numpy is present, else ``plan`` — or explicitly
-``codegen``, ``interpreted``, ``plan``, ``vector``; ``emit`` defaults
-to ``codegen`` since it prints generated source), ``--batch-size``
-drives the monitor's
+columnar and numpy is present, else to generated code — or explicitly
+``codegen`` or ``vector``), ``--batch-size`` drives the monitor's
 batch hot path in chunks, and ``--plan-cache DIR`` persists the
 analysis outputs on disk so repeated invocations of an unchanged spec
 skip the analysis (hits are visible in ``--report``).
@@ -162,26 +160,6 @@ def _read_trace(path: str, flat) -> List[Tuple[int, str, Any]]:
     return events
 
 
-#: Subcommands whose result is independent of the execution engine;
-#: passing ``--engine`` to them is deprecated ad-hoc plumbing (the
-#: engine belongs to :class:`repro.api.CompileOptions`, which these
-#: commands never build).
-_ENGINELESS_COMMANDS = ("analyze", "lint", "dot", "emit-scala", "optimize")
-
-
-def _resolve_engine(args) -> str:
-    """The engine string for :class:`repro.api.CompileOptions`.
-
-    ``--engine`` defaults to ``None`` so the facade's own default
-    (``"auto"``) applies; ``emit`` prints generated Python source, so
-    its unset default stays ``codegen`` (the vector engine compiles to
-    kernels, not source).
-    """
-    if args.engine is not None:
-        return args.engine
-    return "codegen" if args.command == "emit" else "auto"
-
-
 def _compile_options(args) -> "api.CompileOptions":
     """Map the argparse namespace onto :class:`repro.api.CompileOptions`.
 
@@ -190,7 +168,7 @@ def _compile_options(args) -> "api.CompileOptions":
     """
     return api.CompileOptions(
         optimize=not args.no_optimize,
-        engine=_resolve_engine(args),
+        engine=args.engine or "auto",
         error_policy=args.error_policy,
         alias_guard=args.alias_guard,
         plan_cache=args.plan_cache,
@@ -618,7 +596,7 @@ def _cmd_optimize(args, flat) -> int:
                 flat,
                 api.CompileOptions(
                     optimize=not args.no_optimize,
-                    engine=_resolve_engine(args),
+                    engine=args.engine or "auto",
                     rewrite=rewrite,
                 ),
             )
@@ -755,13 +733,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--engine",
-        choices=["auto", "codegen", "interpreted", "plan", "vector"],
+        choices=["auto", "codegen", "vector"],
         default=None,
         help="execution engine: auto (the default — columnar numpy"
-        " kernels when the whole spec is vector-eligible, else the"
-        " dispatch plan), generated source, step closures, the flat"
-        " dispatch plan, or the columnar vector engine; 'emit'"
-        " defaults to codegen (it prints generated source)",
+        " kernels when the whole spec is columnar, else generated"
+        " code), codegen, or vector (fails on specs that are not"
+        " fully columnar)",
     )
     parser.add_argument(
         "--batch-size",
@@ -914,17 +891,6 @@ def main(argv=None) -> int:
         # missing spec on every other command.
         argv.insert(1, "-")
     args = parser.parse_args(argv)
-
-    if args.engine is not None and args.command in _ENGINELESS_COMMANDS:
-        from ._deprecation import warn_once
-
-        warn_once(
-            "cli-engine-plumbing",
-            f"--engine is ignored by '{args.command}' and this ad-hoc"
-            " plumbing is deprecated; select the engine through"
-            " repro.api.CompileOptions(engine=...) on commands that"
-            " execute a monitor ('run', 'run-many', 'profile', 'emit')",
-        )
 
     if args.command == "windows":
         return _cmd_windows(args)

@@ -1,10 +1,11 @@
 """Numpy kernels for the columnar vector engine.
 
-The vector engine (:mod:`repro.compiler.vector`) lowers each plan step of
-a vector-eligible stream family to one whole-column numpy operation.  This
-module holds the per-builtin kernel table plus the numpy availability
-probe — numpy is an *optional* dependency (the ``repro[vector]`` extra);
-everything here degrades gracefully when it is missing.
+The vector engine (:mod:`repro.compiler.vector`) lowers each stream of a
+fully columnar specification to one whole-column numpy operation.  This
+module holds the per-builtin kernel table plus the lazy numpy probe —
+numpy is an *optional* dependency (the ``repro[vector]`` extra),
+imported only when a columnar spec needs it; everything here degrades
+gracefully when it is missing.
 
 A kernel receives the numpy module, an optional pre-certified output
 buffer (``None`` means allocate), and one positional column per lift
@@ -15,7 +16,7 @@ never observe garbage at masked-off positions.  This matters for the
 division kernels, which replicate Python's ``ZeroDivisionError`` instead
 of numpy's silent ``0``/``inf`` results.
 
-Semantic caveats versus the scalar engines (documented in
+Semantic caveats versus generated code (documented in
 ``docs/vector.md``): values are held in fixed-width ``int64``/``float64``
 columns, so integers beyond 64 bits overflow where Python's unbounded
 ints would not.
@@ -27,26 +28,41 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..lang import types as ty
 
-try:  # pragma: no cover - exercised via both branches in the test suite
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
+#: The numpy module, ``None`` when it is not importable, or
+#: ``_UNPROBED`` until the first probe: numpy is imported only once a
+#: vector class is built or a fully columnar spec is classified, so
+#: specs that resolve to generated code never pay for the import.
+_UNPROBED: Any = object()
+_np: Any = _UNPROBED
+
+
+def _probe() -> Any:
+    global _np
+    if _np is _UNPROBED:
+        try:
+            import numpy
+        except ImportError:
+            _np = None
+        else:
+            _np = numpy
+    return _np
 
 
 def numpy_available() -> bool:
     """True if numpy is importable in this process (``repro[vector]``)."""
-    return _np is not None
+    return _probe() is not None
 
 
 def numpy_module() -> Any:
     """Return the numpy module; raise with install guidance if missing."""
-    if _np is None:
+    np = _probe()
+    if np is None:
         raise RuntimeError(
             "the vector engine requires numpy; install the optional "
             "extra (pip install 'repro[vector]') or use engine='auto' "
-            "to fall back to the plan engine"
+            "to fall back to generated code"
         )
-    return _np
+    return np
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,7 @@
 specification → flatten → type check → usage graph → mutability
 analysis → translation order → monitor class.  Most callers should go
 through the :mod:`repro.api` facade (``repro.api.compile`` with a
-:class:`~repro.api.CompileOptions`); the historical keyword-sprawl
-entry point :func:`compile_spec` still works but is deprecated.
+:class:`~repro.api.CompileOptions`).
 
 Three compilation modes:
 
@@ -18,9 +17,11 @@ Three compilation modes:
 * ``backend_override`` — force one backend everywhere (e.g.
   ``Backend.COPYING`` for the naive-copy ablation baseline).
 
-Execution engines: ``"codegen"`` (generated Python source),
-``"interpreted"`` (step closures) and ``"plan"`` (flat dispatch plan,
-see :mod:`repro.compiler.plan`).
+Execution engines: ``"codegen"`` (the generated monitor of paper §III)
+and ``"vector"`` (the same generated class with columnar batch paths
+mixed in, for specs the columnar program covers entirely — see
+:mod:`repro.compiler.vector`); ``"auto"`` picks ``vector`` when it can
+run and ``codegen`` otherwise.
 
 With ``plan_cache`` set, the analysis outputs (translation order +
 backend choices) are persisted on disk keyed by the spec-and-options
@@ -77,7 +78,8 @@ class CompiledSpec:
     vector_info: Optional[Any] = None
     #: Content + options fingerprint (sha256 hex).  Keys the plan cache
     #: and the durable checkpoints: two compilations differing in any
-    #: result-shaping option never share either.
+    #: result-shaping option never share either.  The engine is not one
+    #: of them — codegen and vector monitors share state and outputs.
     fingerprint: str = ""
     #: ``None`` — no plan cache consulted; ``True``/``False`` — cache
     #: hit/miss.  Mirrored into :class:`~repro.compiler.runtime.RunReport`.
@@ -128,8 +130,16 @@ class CompiledSpec:
         if self.rewrite_result is not None:
             diags.extend(self.rewrite_result.diagnostics())
             diags.sort(key=lambda d: (d.code, d.stream, d.message))
-        if self.vector_info is not None:
-            vector_diags = self.vector_info.diagnostics()
+        vector_info = self.vector_info
+        if vector_info is None and self.engine_requested == "auto":
+            # A text-keyed warm hit skipped the classification.
+            from .vector import classify_vector
+
+            vector_info = classify_vector(
+                self.flat, error_policy=self.error_policy
+            )
+        if vector_info is not None:
+            vector_diags = vector_info.diagnostics()
             if vector_diags:
                 diags.extend(vector_diags)
                 diags.sort(key=lambda d: (d.code, d.stream, d.message))
@@ -162,32 +172,12 @@ class CompiledSpec:
             for name in self.monitor_class.OUTPUTS
         }
 
-    def run(
-        self,
-        inputs: Mapping[str, Any],
-        end_time: Optional[int] = None,
-    ) -> Dict[str, Stream]:
-        """Deprecated alias of :meth:`run_traces`.
-
-        Prefer ``repro.api.run`` (full RunReport, batching, hardening)
-        or :meth:`run_traces` for the plain whole-trace convenience.
-        """
-        from .._deprecation import warn_once
-
-        warn_once(
-            "CompiledSpec.run",
-            "CompiledSpec.run() is deprecated; use repro.api.run(...) or"
-            " CompiledSpec.run_traces(...)",
-        )
-        return self.run_traces(inputs, end_time=end_time)
-
 
 def build_compiled_spec(
     spec: Union[Specification, FlatSpec],
     optimize: bool = True,
     backend_override: Optional[Backend] = None,
     class_name: str = "GeneratedMonitor",
-    prune_dead: bool = False,
     engine: str = "codegen",
     error_policy: Union[ErrorPolicy, str, None] = None,
     alias_guard: bool = False,
@@ -204,19 +194,19 @@ def build_compiled_spec(
     constant folding), each certified to never demote a mutable stream
     and recorded as ``OPT00x`` provenance on :meth:`CompiledSpec.diagnostics`.
 
-    ``prune_dead=True`` (deprecated — subsumed by the optimizer's
-    dead-stream rule) removes streams that cannot influence any
-    output before analysis and code generation.  ``engine`` selects the
-    execution strategy: ``"codegen"`` (generated Python source, the
-    default), ``"interpreted"`` (step closures, no ``exec``) or
-    ``"plan"`` (flat dispatch plan).
+    ``engine`` selects the execution strategy: ``"codegen"`` (generated
+    Python source, the default), ``"vector"`` (columnar batch paths on
+    top of the generated class; raises ``ValueError`` naming the
+    ``VEC00x`` witnesses when the spec is not fully columnar or numpy is
+    missing) or ``"auto"`` (``vector`` when it can run, else
+    ``codegen``).
 
     ``error_policy`` (an :class:`~repro.errors.ErrorPolicy` or its
     string value) switches on the hardened error-propagating evaluation
     — lift exceptions become first-class error values, raise with
     context, or suppress the event, per policy, and the monitor carries
     a live :class:`~repro.compiler.runtime.RunReport`.  ``None`` (the
-    default) compiles the seed's exact code with zero overhead.
+    default) compiles the seed's exact hot path with zero overhead.
 
     ``alias_guard=True`` swaps every mutable backend for its guarded
     twin (:mod:`repro.structures.guard`): any access through a stale
@@ -235,18 +225,6 @@ def build_compiled_spec(
         flat = spec if isinstance(spec, FlatSpec) else flatten(spec)
         if not flat.types:
             check_types(flat)
-        if prune_dead:
-            from .._deprecation import warn_once
-            from ..opt import project_live
-
-            warn_once(
-                "prune_dead",
-                "prune_dead=True is deprecated; use rewrite=True — the"
-                " optimizer's dead-stream rule (OPT005) subsumes pruning",
-            )
-            flat = project_live(flat)
-            if not flat.types:
-                check_types(flat)
 
     rewrite_result: Optional[Any] = None
     if rewrite:
@@ -260,11 +238,13 @@ def build_compiled_spec(
             )
         flat = rewrite_result.flat
 
-    # Engine negotiation: "auto" resolves to the vector engine when
-    # every output-owning alias-closed family is vector-eligible (and
-    # numpy is importable), else to the plan engine.  The classification
-    # is cheap and syntactic, so it also runs on warm cache hits; the
-    # resolved engine — not "auto" — enters the fingerprint below.
+    # Engine negotiation: "auto" resolves to the vector engine when the
+    # columnar program covers the whole spec (and numpy is importable),
+    # else to generated code.  The classification is cheap and
+    # syntactic, so it also runs on warm cache hits.  The fingerprint
+    # below carries no engine: both engines run the same generated
+    # class over the same state, so they share cache entries and
+    # checkpoints.
     requested_engine = engine
     vector_info: Optional[Any] = None
     if engine in ("auto", "vector"):
@@ -273,12 +253,10 @@ def build_compiled_spec(
         vector_info = classify_vector(flat, error_policy=policy)
         if engine == "auto":
             engine = vector_info.auto_engine
-        elif not vector_info.numpy_ok:
-            raise ValueError(
-                "engine='vector' requires numpy; install the optional"
-                " extra (pip install 'repro[vector]') or use"
-                " engine='auto' to fall back to the plan engine"
-            )
+        else:
+            vector_info.require_columnar()
+    elif engine != "codegen":
+        raise ValueError(f"unknown engine {engine!r}")
 
     if isinstance(plan_cache, str):
         plan_cache = PlanCache(plan_cache)
@@ -288,7 +266,6 @@ def build_compiled_spec(
         backend_override=backend_override,
         alias_guard=alias_guard,
         error_policy=policy,
-        engine=engine,
         rewrite=rewrite,
     )
 
@@ -336,87 +313,26 @@ def build_compiled_spec(
     # on top of both cold and warm compilations.
     pre_guard_backends = dict(backends)
     if alias_guard:
-        backends = {
-            name: Backend.GUARDED if backend is Backend.MUTABLE else backend
-            for name, backend in backends.items()
-        }
+        backends = _guarded(backends)
 
-    monitor_class: Optional[type] = None
-    if (
-        cached is not None
-        and engine == "codegen"
-        and cached.code is not None
-        and cached.class_name == class_name
-    ):
-        # The entry carries the generated module (.pyc-style): skip
-        # source assembly and recompilation, rebind the namespace only.
-        with TRACER.span("compile.codegen"):
-            monitor_class = monitor_class_from_code(
-                flat,
-                order,
-                backends,
-                cached.source or "",
-                cached.code,
-                class_name=class_name,
-                error_policy=policy,
-                metrics=metrics,
-            )
-
-    if monitor_class is None:
-        with TRACER.span("compile.codegen"):
-            if engine == "codegen":
-                monitor_class = generate_monitor_class(
-                    flat,
-                    order,
-                    backends,
-                    class_name=class_name,
-                    error_policy=policy,
-                    metrics=metrics,
-                )
-            elif engine == "interpreted":
-                from .interp_backend import make_interpreted_class
-
-                monitor_class = make_interpreted_class(
-                    flat,
-                    order,
-                    backends,
-                    class_name=class_name,
-                    error_policy=policy,
-                    metrics=metrics,
-                )
-            elif engine == "plan":
-                from .plan import make_plan_class
-
-                monitor_class = make_plan_class(
-                    flat,
-                    order,
-                    backends,
-                    class_name=class_name,
-                    error_policy=policy,
-                    metrics=metrics,
-                )
-            elif engine == "vector":
-                from .vector import make_vector_class
-
-                monitor_class = make_vector_class(
-                    flat,
-                    order,
-                    backends,
-                    class_name=class_name,
-                    error_policy=policy,
-                    metrics=metrics,
-                    classification=vector_info,
-                )
-            else:
-                raise ValueError(f"unknown engine {engine!r}")
+    with TRACER.span("compile.codegen"):
+        monitor_class = _build_monitor_class(
+            flat,
+            order,
+            backends,
+            engine=engine,
+            class_name=class_name,
+            error_policy=policy,
+            metrics=metrics,
+            vector_info=vector_info,
+            cached=cached,
+        )
 
     if plan_cache is not None and cached is None:
         import marshal
 
         from .codegen import lift_recipe
 
-        code = getattr(monitor_class, "CODE", None)
-        blob = marshal.dumps(code) if code is not None else None
         with TRACER.span("compile.cache_store"):
             plan_cache.store(
                 fingerprint,
@@ -429,14 +345,10 @@ def build_compiled_spec(
                         if analysis is not None
                         else frozenset()
                     ),
-                    source=(
-                        getattr(monitor_class, "SOURCE", None)
-                        if blob is not None
-                        else None
-                    ),
-                    code=blob,
-                    class_name=class_name if blob is not None else None,
-                    lifts=lift_recipe(flat) if blob is not None else None,
+                    source=monitor_class.SOURCE,
+                    code=marshal.dumps(monitor_class.CODE),
+                    class_name=class_name,
+                    lifts=lift_recipe(flat),
                     plan_key=fingerprint,
                 ),
             )
@@ -460,6 +372,67 @@ def build_compiled_spec(
     )
 
 
+def _guarded(backends: Mapping[str, Backend]) -> Dict[str, Backend]:
+    """*backends* with every mutable slot swapped for its guarded twin."""
+    return {
+        name: Backend.GUARDED if backend is Backend.MUTABLE else backend
+        for name, backend in backends.items()
+    }
+
+
+def _build_monitor_class(
+    flat: FlatSpec,
+    order: List[str],
+    backends: Mapping[str, Backend],
+    *,
+    engine: str,
+    class_name: str,
+    error_policy: Optional[ErrorPolicy],
+    metrics: Optional[Any],
+    vector_info: Optional[Any],
+    cached: Optional[CachedPlan] = None,
+) -> type:
+    """The monitor class for a resolved *engine*.
+
+    Always the generated codegen class — rebuilt from a cached code
+    object when *cached* carries one (``.pyc``-style: the namespace is
+    rebound, source assembly and ``builtins.compile`` are skipped) —
+    with the columnar batch paths mixed in for ``engine="vector"``.
+    """
+    monitor_class: Optional[type] = None
+    if (
+        cached is not None
+        and cached.code is not None
+        and cached.class_name == class_name
+    ):
+        monitor_class = monitor_class_from_code(
+            flat,
+            order,
+            backends,
+            cached.source or "",
+            cached.code,
+            class_name=class_name,
+            error_policy=error_policy,
+            metrics=metrics,
+        )
+    if monitor_class is None:
+        monitor_class = generate_monitor_class(
+            flat,
+            order,
+            backends,
+            class_name=class_name,
+            error_policy=error_policy,
+            metrics=metrics,
+        )
+    if engine == "vector":
+        from .vector import make_vector_class
+
+        monitor_class = make_vector_class(
+            monitor_class, flat, vector_info, metrics=metrics
+        )
+    return monitor_class
+
+
 def instrumented_twin(compiled: CompiledSpec, metrics: Any) -> CompiledSpec:
     """An instrumented copy of *compiled* sharing its analysis outputs.
 
@@ -471,53 +444,16 @@ def instrumented_twin(compiled: CompiledSpec, metrics: Any) -> CompiledSpec:
     """
     from dataclasses import replace
 
-    flat = compiled.flat
-    class_name = compiled.monitor_class.__name__
-    if compiled.engine == "codegen":
-        monitor_class = generate_monitor_class(
-            flat,
-            compiled.order,
-            compiled.backends,
-            class_name=class_name,
-            error_policy=compiled.error_policy,
-            metrics=metrics,
-        )
-    elif compiled.engine == "interpreted":
-        from .interp_backend import make_interpreted_class
-
-        monitor_class = make_interpreted_class(
-            flat,
-            compiled.order,
-            compiled.backends,
-            class_name=class_name,
-            error_policy=compiled.error_policy,
-            metrics=metrics,
-        )
-    elif compiled.engine == "plan":
-        from .plan import make_plan_class
-
-        monitor_class = make_plan_class(
-            flat,
-            compiled.order,
-            compiled.backends,
-            class_name=class_name,
-            error_policy=compiled.error_policy,
-            metrics=metrics,
-        )
-    elif compiled.engine == "vector":
-        from .vector import make_vector_class
-
-        monitor_class = make_vector_class(
-            flat,
-            compiled.order,
-            compiled.backends,
-            class_name=class_name,
-            error_policy=compiled.error_policy,
-            metrics=metrics,
-            classification=compiled.vector_info,
-        )
-    else:
-        raise ValueError(f"unknown engine {compiled.engine!r}")
+    monitor_class = _build_monitor_class(
+        compiled.flat,
+        compiled.order,
+        compiled.backends,
+        engine=compiled.engine,
+        class_name=compiled.monitor_class.__name__,
+        error_policy=compiled.error_policy,
+        metrics=metrics,
+        vector_info=compiled.vector_info,
+    )
     return replace(compiled, monitor_class=monitor_class, metrics=metrics)
 
 
@@ -560,7 +496,6 @@ def build_compiled_spec_from_text(
     optimize: bool = True,
     backend_override: Optional[Backend] = None,
     class_name: str = "GeneratedMonitor",
-    prune_dead: bool = False,
     engine: str = "codegen",
     error_policy: Union[ErrorPolicy, str, None] = None,
     alias_guard: bool = False,
@@ -578,6 +513,11 @@ def build_compiled_spec_from_text(
     becomes lazy: it is parsed only if something actually asks for it.
     Everything else behaves exactly like parsing and calling
     :func:`build_compiled_spec`.
+
+    The fast path serves ``"codegen"`` requests, and ``"auto"``
+    requests for specs that are not fully columnar: those resolve to
+    generated code whatever numpy's presence, so the hit needs no
+    classification.
     """
     from .codegen import monitor_class_from_recipe
     from .plancache import text_fingerprint
@@ -587,7 +527,7 @@ def build_compiled_spec_from_text(
         plan_cache = PlanCache(plan_cache)
 
     text_key: Optional[str] = None
-    if plan_cache is not None and engine == "codegen":
+    if plan_cache is not None and engine in ("codegen", "auto"):
         text_key = text_fingerprint(
             text,
             optimize=optimize,
@@ -595,7 +535,6 @@ def build_compiled_spec_from_text(
             alias_guard=alias_guard,
             error_policy=policy,
             engine=engine,
-            prune_dead=prune_dead,
             rewrite=rewrite,
         )
         cached = plan_cache.load(text_key)
@@ -607,14 +546,7 @@ def build_compiled_spec_from_text(
         ):
             backends = dict(cached.backends)
             if alias_guard:
-                backends = {
-                    name: (
-                        Backend.GUARDED
-                        if backend is Backend.MUTABLE
-                        else backend
-                    )
-                    for name, backend in backends.items()
-                }
+                backends = _guarded(backends)
             monitor_class = monitor_class_from_recipe(
                 cached.lifts,
                 backends,
@@ -634,7 +566,7 @@ def build_compiled_spec_from_text(
                     optimized=cached.optimized,
                     error_policy=policy,
                     alias_guard=alias_guard,
-                    engine=engine,
+                    engine="codegen",
                     engine_requested=engine,
                     fingerprint=cached.plan_key or text_key,
                     plan_cache_hit=True,
@@ -649,7 +581,6 @@ def build_compiled_spec_from_text(
         optimize=optimize,
         backend_override=backend_override,
         class_name=class_name,
-        prune_dead=prune_dead,
         engine=engine,
         error_policy=policy,
         alias_guard=alias_guard,
@@ -657,12 +588,13 @@ def build_compiled_spec_from_text(
         metrics=metrics,
         rewrite=rewrite,
     )
-    if text_key is not None:
+    if text_key is not None and (
+        engine == "codegen" or not compiled.vector_info.columnar
+    ):
         from .codegen import lift_recipe
 
-        code = getattr(compiled.monitor_class, "CODE", None)
         lifts = lift_recipe(compiled.flat)
-        if code is not None and lifts is not None:
+        if lifts is not None:
             import marshal
 
             # Stored backends are pre-guard, like flat-keyed entries;
@@ -686,47 +618,11 @@ def build_compiled_spec_from_text(
                     backends=stored,
                     optimized=compiled.optimized,
                     mutable=compiled.mutable_streams,
-                    source=getattr(compiled.monitor_class, "SOURCE", None),
-                    code=marshal.dumps(code),
+                    source=compiled.monitor_class.SOURCE,
+                    code=marshal.dumps(compiled.monitor_class.CODE),
                     class_name=class_name,
                     lifts=lifts,
                     plan_key=compiled.fingerprint,
                 ),
             )
     return compiled
-
-
-def compile_spec(
-    spec: Union[Specification, FlatSpec],
-    optimize: bool = True,
-    backend_override: Optional[Backend] = None,
-    class_name: str = "GeneratedMonitor",
-    prune_dead: bool = False,
-    engine: str = "codegen",
-    error_policy: Union[ErrorPolicy, str, None] = None,
-    alias_guard: bool = False,
-    plan_cache: Union[str, PlanCache, None] = None,
-) -> CompiledSpec:
-    """Deprecated keyword-sprawl entry point.
-
-    Use ``repro.api.compile(spec, CompileOptions(...))`` instead; this
-    shim delegates to :func:`build_compiled_spec` unchanged.
-    """
-    from .._deprecation import warn_once
-
-    warn_once(
-        "compile_spec",
-        "compile_spec() is deprecated; use repro.api.compile(spec,"
-        " CompileOptions(...))",
-    )
-    return build_compiled_spec(
-        spec,
-        optimize=optimize,
-        backend_override=backend_override,
-        class_name=class_name,
-        prune_dead=prune_dead,
-        engine=engine,
-        error_policy=error_policy,
-        alias_guard=alias_guard,
-        plan_cache=plan_cache,
-    )

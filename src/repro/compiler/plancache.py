@@ -14,7 +14,7 @@ Design points:
 
 * **Options live in the key.**  Two compilations that differ in
   backend override, ``alias_guard``, ``error_policy``, ``optimize`` or
-  engine must never share a cached plan (nor a checkpoint — the same
+  ``rewrite`` must never share a cached plan (nor a checkpoint — the same
   fingerprint guards :class:`~repro.compiler.checkpoint.CheckpointManager`
   files via :attr:`~repro.compiler.pipeline.CompiledSpec.fingerprint`).
 * **Corruption-tolerant.**  A torn, truncated or hand-edited cache
@@ -82,19 +82,6 @@ def _ruleset_version() -> int:
     return RULESET_VERSION
 
 
-def _numpy_bit(engine: str) -> Optional[bool]:
-    """Numpy availability, keyed only for numpy-sensitive engines.
-
-    ``None`` for engines whose compiled artifact cannot depend on
-    numpy, so their keys are unchanged by numpy installs/removals.
-    """
-    if engine not in ("vector", "auto"):
-        return None
-    from .kernels import numpy_available
-
-    return numpy_available()
-
-
 def plan_fingerprint(
     flat: Any,
     *,
@@ -102,7 +89,6 @@ def plan_fingerprint(
     backend_override: Optional[Backend] = None,
     alias_guard: bool = False,
     error_policy: Optional[ErrorPolicy] = None,
-    engine: str = "codegen",
     rewrite: bool = False,
 ) -> str:
     """The cache key: spec content + every result-shaping option.
@@ -115,21 +101,19 @@ def plan_fingerprint(
     options tuple: toggling ``rewrite`` (or changing what the rules do)
     can never serve a plan cached under the other configuration.
 
-    For the vector engine (and ``auto``, which resolves depending on
-    numpy's presence) the numpy-availability bit is part of the key: a
-    warm cache shared across environments must never replay a
-    vector-engine plan into a numpy-less process.
+    The engine is not: a vector monitor is the generated codegen class
+    with columnar batch paths mixed in, so both engines replay the same
+    cached plan and code object and resume from each other's
+    checkpoints, with or without numpy.
     """
     options = (
-        "opts-v3",
+        "opts-v4",
         bool(optimize),
         backend_override.name if backend_override is not None else None,
         bool(alias_guard),
         error_policy.value if error_policy is not None else None,
-        engine,
         bool(rewrite),
         _ruleset_version() if rewrite else 0,
-        _numpy_bit(engine),
     )
     digest = hashlib.sha256()
     digest.update(flat_fingerprint(flat).encode())
@@ -145,7 +129,6 @@ def text_fingerprint(
     alias_guard: bool = False,
     error_policy: Optional[ErrorPolicy] = None,
     engine: str = "codegen",
-    prune_dead: bool = False,
     rewrite: bool = False,
 ) -> str:
     """Cache key for raw specification text: hash of the text itself.
@@ -153,24 +136,25 @@ def text_fingerprint(
     Keying on the unparsed text lets a warm compilation skip the
     frontend entirely — no lexing, parsing, flattening or type
     inference — which is the bulk of a repeated CLI/server
-    invocation's startup cost.  ``prune_dead`` and ``rewrite`` (plus
-    the rewrite rule-set version) are part of this key — unlike
-    :func:`plan_fingerprint`, where both transforms run before the flat
-    spec is hashed and are therefore covered by content, the raw text
-    here is identical whether or not the optimizer runs, so omitting
-    the flags would serve a stale plan across a toggle.
+    invocation's startup cost.  ``rewrite`` (plus the rewrite rule-set
+    version) is part of this key — unlike :func:`plan_fingerprint`,
+    where the rewrite runs before the flat spec is hashed and is
+    therefore covered by content, the raw text here is identical
+    whether or not the optimizer runs, so omitting the flag would serve
+    a stale plan across a toggle.  The *requested* engine is part of it
+    too: a hit skips classification, so an ``"auto"`` entry is only
+    ever stored for a spec that resolves to generated code regardless
+    of numpy, never shared with a ``"codegen"`` entry.
     """
     options = (
-        "text-opts-v3",
+        "text-opts-v4",
         bool(optimize),
         backend_override.name if backend_override is not None else None,
         bool(alias_guard),
         error_policy.value if error_policy is not None else None,
         engine,
-        bool(prune_dead),
         bool(rewrite),
         _ruleset_version() if rewrite else 0,
-        _numpy_bit(engine),
     )
     digest = hashlib.sha256()
     digest.update(b"text-v1\n")
@@ -184,8 +168,7 @@ class CachedPlan:
     """The analysis outputs a compilation can be replayed from.
 
     ``source``/``code`` optionally carry the generated monitor module
-    (source text and its marshal'd code object) for the codegen
-    engine, so a warm hit also skips source assembly and
+    (source text and its marshal'd code object), so a warm hit also skips source assembly and
     ``builtins.compile``.  ``class_name`` records the name the module
     was generated under; a compilation requesting a different class
     name regenerates instead of reusing the code payload.

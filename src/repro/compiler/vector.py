@@ -3,11 +3,10 @@
 The paper's mutability analysis decides which stream variables can be
 updated in place; the same structural facts — scalar data types, no
 aggregate structures, no data-dependent clock feedback — are exactly the
-eligibility condition for columnar execution.  This module classifies
-each alias-closed stream family (the partitioner's union-find over
-usage edges and :class:`~repro.analysis.aliasing.AliasAnalysis`) as
-*vector-eligible* and lowers the eligible part of the translation order
-to whole-column numpy kernels:
+condition for columnar execution.  This module classifies every stream
+of a flat specification as *columnar* or not and, when the columnar
+program covers the whole specification, lowers it to whole-column numpy
+kernels:
 
 * one structure-of-arrays buffer pair per stream variable — a value
   column plus a boolean presence mask over the batch's unique
@@ -16,27 +15,30 @@ to whole-column numpy kernels:
   full columns (every lane has an event) or to a compressed gather of
   the event lanes, so value lanes without events are never read;
 * ``last`` as a shifted-column read (``maximum.accumulate`` over event
-  indices) seeded from the plan engine's cross-batch carry cells;
+  indices) seeded from the generated monitor's ``_last_<name>`` cells;
 * in-place column writes only where a batch-local last-use liveness
   pass certifies the argument buffer dead — the column analogue of the
   paper's in-place update rule (the spec-level mutability analysis
   covers aggregate types only; scalar columns get the same
   "no later reader" certificate per batch instead).
 
-Ineligible families — aggregate types, ``delay`` feedback, ad-hoc
-lifts — fall back *per family* to the plan engine inside the same
-monitor: the vectorized slice pass computes eligible columns first,
-then a scalar per-timestamp loop runs the remaining plan ops, bridging
-eligible values in by timestamp index.  Every spec still compiles.
+A specification the columnar program does not cover entirely —
+aggregate types, ``delay`` feedback, ad-hoc lifts, an error policy —
+runs on generated code (``engine="auto"`` resolves to ``codegen``;
+the reasons surface as ``VEC001`` notes).
 
-:class:`VectorMonitorBase` subclasses the plan engine's monitor, so the
-per-event ``push`` path, snapshot/restore and checkpointing reuse the
-plan state (slot values, last cells, delay cells) unchanged.
+:class:`VectorMonitorBase` is mixed into the generated codegen monitor
+class of the same specification, so per-event ``push``, snapshot/
+restore, checkpointing and the fallback for irregular batches run the
+generated ``_calc``, and the columnar path reads and writes the
+generated state (``_in_<name>``, ``_last_<name>``) directly.  Vector
+and codegen snapshots are therefore interchangeable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     Any,
     Dict,
@@ -57,19 +59,7 @@ from ..lang.builtins import REGISTRY, EventPattern
 from ..lang.spec import FlatSpec
 from ..structures import Backend
 from . import kernels
-from .monitor import UNIT_VALUE, MonitorError
-from .plan import (
-    OP_DELAY,
-    OP_LAST,
-    OP_LIFT_ALL,
-    OP_LIFT_ANY,
-    OP_MERGE,
-    OP_TIME,
-    OP_UNIT,
-    ExecutionPlan,
-    PlanMonitorBase,
-    build_plan,
-)
+from .monitor import UNIT_VALUE, MonitorBase, MonitorError
 
 __all__ = [
     "FamilyVerdict",
@@ -99,39 +89,77 @@ class FamilyVerdict:
 
 @dataclass(frozen=True)
 class VectorClassification:
-    """Per-family vector eligibility for one flat specification."""
+    """Per-stream columnar eligibility for one flat specification."""
 
-    verdicts: Tuple[FamilyVerdict, ...]
-    #: Streams (inputs and definitions) executed columnar.
+    flat: FlatSpec = field(compare=False, repr=False)
+    #: Streams (inputs and definitions) with a columnar lowering.
     eligible: FrozenSet[str]
     #: Topological execution order of the eligible defined streams.
     order: Tuple[str, ...]
-    #: Ineligible stream → first reason (structural, family-independent).
+    #: Ineligible stream → first reason.
     reasons: Mapping[str, str]
-    numpy_ok: bool
     error_mode: bool
     #: Recognized running-aggregate feedback triples, executed as one
     #: seeded prefix scan each: ``(h, k, s, x, op_name, ufunc, dtype)``
     #: for ``h = last(s, x); k = op(h, x); s = merge(k, x)``.
     scans: Tuple[Tuple[str, str, str, str, str, str, str], ...] = ()
+    #: Whether numpy imports; probed only for :attr:`columnar` specs
+    #: (``None`` — not probed, so other specs never pay the import).
+    numpy_ok: Optional[bool] = None
+
+    @property
+    def columnar(self) -> bool:
+        """True when the columnar program covers the whole spec."""
+        return not self.error_mode and not self.reasons
 
     @property
     def auto_engine(self) -> str:
-        """Engine ``engine="auto"`` resolves to: vector iff every
-        output-owning family is eligible (and numpy is importable)."""
-        if not self.numpy_ok or self.error_mode or not self.eligible:
-            return "plan"
-        for verdict in self.verdicts:
-            if verdict.outputs and not verdict.eligible:
-                return "plan"
-        return "vector"
+        """Engine ``engine="auto"`` resolves to: vector iff the spec is
+        :attr:`columnar` and numpy is importable, else codegen."""
+        return "vector" if self.columnar and self.numpy_ok else "codegen"
+
+    @cached_property
+    def verdicts(self) -> Tuple[FamilyVerdict, ...]:
+        """Per-family verdicts over the alias-closed partitions (union-
+        find over usage edges, alias classes never split, replicable
+        scalar prefix copied per family) — the grouping behind the
+        ``VEC001`` notes.  Streams in no family (dead scalar prefix)
+        form one trailing output-less group."""
+        from ..parallel.partition import partition_spec
+
+        flat = self.flat
+        reasons = self.reasons
+        verdicts: List[FamilyVerdict] = []
+        covered: Set[str] = set()
+        for part in partition_spec(flat).partitions:
+            members = list(part.streams)
+            # Passthrough outputs (an input re-exported) have no
+            # defining member; their type still has to be columnar.
+            members += [out for out in part.outputs if out in flat.inputs]
+            covered.update(members)
+            bad = tuple((s, reasons[s]) for s in members if s in reasons)
+            verdicts.append(
+                FamilyVerdict(part.streams, part.outputs, not bad, bad)
+            )
+        rest = tuple(
+            name
+            for name in flat.definitions
+            if name in reasons and name not in covered
+        )
+        if rest:
+            verdicts.append(
+                FamilyVerdict(
+                    rest, (), False, tuple((s, reasons[s]) for s in rest)
+                )
+            )
+        return tuple(verdicts)
 
     def diagnostics(self) -> List[Any]:
-        """VEC00x NOTE diagnostics explaining any plan fallback."""
+        """VEC00x NOTE diagnostics explaining a codegen resolution."""
         from ..analysis.diagnostics import Diagnostic, Severity
 
         out: List[Any] = []
-        if not self.numpy_ok:
+        if self.numpy_ok is False:
             out.append(
                 Diagnostic(
                     code="VEC002",
@@ -139,12 +167,14 @@ class VectorClassification:
                     stream="",
                     message=(
                         "numpy is not importable: engine='auto' resolves to"
-                        " the plan engine (install the 'vector' extra)"
+                        " generated code (install the 'vector' extra)"
                     ),
                     source="vector",
                     witness={"rule": "numpy-missing"},
                 )
             )
+        if not self.reasons:
+            return out
         for verdict in self.verdicts:
             if verdict.eligible:
                 continue
@@ -161,9 +191,7 @@ class VectorClassification:
                     code="VEC001",
                     severity=Severity.NOTE,
                     stream=anchor,
-                    message=(
-                        "family falls back to the plan engine — " + detail
-                    ),
+                    message="family falls back to generated code — " + detail,
                     source="vector",
                     witness={
                         "rule": "vector-fallback",
@@ -174,13 +202,33 @@ class VectorClassification:
             )
         return out
 
-
-def _expr_deps(expr: Any) -> Set[str]:
-    return set(free_vars(expr))
+    def require_columnar(self) -> None:
+        """Raise ``ValueError`` unless an explicit ``engine="vector"``
+        can run: the spec is :attr:`columnar` and numpy imports."""
+        if self.error_mode:
+            raise ValueError(
+                "engine='vector' does not run under an error policy;"
+                " use engine='auto' or 'codegen'"
+            )
+        if self.reasons:
+            witnesses = "; ".join(
+                f"{d.code} {d.stream}: {d.message}"
+                for d in self.diagnostics()
+            )
+            raise ValueError(
+                "engine='vector' needs a spec the columnar program covers"
+                " entirely; use engine='auto' or 'codegen' — " + witnesses
+            )
+        if not self.numpy_ok:
+            raise ValueError(
+                "engine='vector' requires numpy; install the optional"
+                " extra (pip install 'repro[vector]') or use"
+                " engine='auto' to fall back to generated code"
+            )
 
 
 def _local_reason(flat: FlatSpec, name: str) -> Optional[str]:
-    """Family-independent ineligibility reason for one stream, or None."""
+    """Stream-local ineligibility reason for one stream, or None."""
     stream_type = flat.types.get(name)
     if stream_type is None or kernels.dtype_name_for(stream_type) is None:
         return f"type {stream_type} has no column representation"
@@ -283,15 +331,13 @@ def classify_vector(
     *,
     error_policy: Optional[ErrorPolicy] = None,
 ) -> VectorClassification:
-    """Classify every alias-closed family of *flat* as vector-eligible.
+    """Classify every stream of *flat* as columnar or not.
 
-    Purely syntactic over the typed flat spec (plus the partitioner's
-    alias-closed family structure), so it is cheap enough to run on
-    every compile — including warm plan-cache hits — for ``auto``
-    engine resolution.
+    Purely syntactic over the typed flat spec, so it is cheap enough to
+    run on every ``auto`` compile.  numpy is imported only when the
+    whole spec is columnar; family grouping for the ``VEC001`` notes is
+    computed only when diagnostics are asked for.
     """
-    from ..parallel.partition import partition_spec
-
     defined = flat.definitions
     reasons: Dict[str, str] = {}
     for name in flat.streams:
@@ -307,7 +353,7 @@ def classify_vector(
     # seeded ``ufunc.accumulate`` — when a pass stalls, recognized
     # triples are placed as a unit and the loop resumes.
     deps_of: Dict[str, Set[str]] = {
-        name: _expr_deps(expr)
+        name: set(free_vars(expr))
         for name, expr in defined.items()
         if name not in reasons
     }
@@ -357,55 +403,20 @@ def classify_vector(
             name, "recursive: in-batch feedback through last"
         )
 
-    # Family granularity: the alias-closed partitions (union-find over
-    # usage edges, AliasAnalysis classes never split, replicable scalar
-    # prefix copied per family).  An ineligible member demotes its whole
-    # family to the scalar plan path.
-    plan_partitions = partition_spec(flat)
-    verdicts: List[FamilyVerdict] = []
-    eligible: Set[str] = set()
-    for part in plan_partitions.partitions:
-        bad: List[Tuple[str, str]] = [
-            (stream, reasons[stream])
-            for stream in part.streams
-            if stream in reasons
-        ]
-        for out in part.outputs:
-            # Passthrough outputs (an input re-exported) have no defining
-            # member; their type still has to be columnar.
-            if out in flat.inputs and out in reasons:
-                bad.append((out, reasons[out]))
-        verdict = FamilyVerdict(
-            streams=part.streams,
-            outputs=part.outputs,
-            eligible=not bad,
-            reasons=tuple(bad),
-        )
-        verdicts.append(verdict)
-        if verdict.eligible:
-            eligible.update(part.streams)
-            eligible.update(
-                name for name in part.inputs if name not in reasons
-            )
-            eligible.update(
-                name
-                for name in part.outputs
-                if name in flat.inputs and name not in reasons
-            )
-
+    error_mode = error_policy is not None
     return VectorClassification(
-        verdicts=tuple(verdicts),
-        eligible=frozenset(eligible),
-        order=tuple(name for name in order if name in eligible),
+        flat=flat,
+        eligible=frozenset(
+            name for name in flat.streams if name not in reasons
+        ),
+        order=tuple(order),
         reasons=reasons,
-        numpy_ok=kernels.numpy_available(),
-        error_mode=error_policy is not None,
-        scans=tuple(
-            triple
-            for triple in scans
-            # A demoted family drops its members from the order; the
-            # scan only survives with all three streams columnar.
-            if all(member in eligible for member in triple[:3])
+        error_mode=error_mode,
+        scans=tuple(scans),
+        numpy_ok=(
+            kernels.numpy_available()
+            if not reasons and not error_mode
+            else None
         ),
     )
 
@@ -427,28 +438,17 @@ VOP_SCAN = 9
 
 @dataclass(frozen=True)
 class VectorProgram:
-    """The columnar half of a hybrid vector/plan monitor."""
+    """The columnar program of a fully columnar specification."""
 
     n_vslots: int
     vslot_of: Mapping[str, int]
-    #: Eligible inputs: ``(name, vslot, dtype_name)`` (``"unit"`` → mask only).
+    #: Inputs: ``(name, vslot, dtype_name)`` (``"unit"`` → mask only).
     col_inputs: Tuple[Tuple[str, int, str], ...]
-    #: Ineligible inputs routed to the scalar loop: ``(name, plan_slot)``.
-    row_inputs: Tuple[Tuple[str, int], ...]
     steps: Tuple[tuple, ...]
-    #: True when the whole batch slice runs columnar (no scalar ops, no
-    #: delays, every output eligible).
-    pure: bool
-    #: Plan ops of the ineligible streams, original order.
-    scalar_ops: Tuple[tuple, ...]
-    #: Eligible values read by the scalar section: ``(plan_slot, vslot, is_unit)``.
-    bridge: Tuple[Tuple[int, int, bool], ...]
-    #: All outputs in declaration order: ``(name, plan_slot, vslot|None, is_unit)``.
-    out_sched: Tuple[Tuple[str, int, Optional[int], bool], ...]
-    #: Eligible ``last`` sources: ``(vslot, cell_index, is_unit)``.
-    last_vec: Tuple[Tuple[int, int, bool], ...]
-    #: Ineligible ``last`` sources: ``(plan_slot, cell_index)``.
-    last_scalar: Tuple[Tuple[int, int], ...]
+    #: Outputs in declaration order: ``(name, vslot, is_unit)``.
+    out_sched: Tuple[Tuple[str, int, bool], ...]
+    #: ``last`` sources: ``(vslot, "_last_<name>" attribute, is_unit)``.
+    last_vec: Tuple[Tuple[int, str, bool], ...]
     #: Kernel steps certified for in-place buffer reuse (step position).
     inplace_steps: Tuple[int, ...] = ()
 
@@ -474,40 +474,30 @@ def _step_reads(step: tuple) -> Tuple[int, ...]:
 
 def build_vector_program(
     flat: FlatSpec,
-    plan: ExecutionPlan,
     classification: VectorClassification,
     default_backend: Backend = Backend.PERSISTENT,
 ) -> VectorProgram:
-    """Lower the eligible streams of *flat* to columnar steps."""
-    eligible = classification.eligible
-    name_of_slot = {slot: name for name, slot in plan.slot_of.items()}
+    """Lower a :attr:`~VectorClassification.columnar` *flat* to steps.
 
+    Slots are numbered inputs first (declaration order), then the
+    classification's dependency order; cross-batch ``last`` state lives
+    in the generated monitor's ``_last_<name>`` attributes.
+    """
+    assert classification.columnar, "spec is not fully columnar"
     vslot_of: Dict[str, int] = {}
     col_inputs: List[Tuple[str, int, str]] = []
     for name in flat.inputs:
-        if name in eligible:
-            vslot = len(vslot_of)
-            vslot_of[name] = vslot
-            col_inputs.append(
-                (name, vslot, kernels.dtype_name_for(flat.types[name]))
-            )
+        vslot = len(vslot_of)
+        vslot_of[name] = vslot
+        col_inputs.append(
+            (name, vslot, kernels.dtype_name_for(flat.types[name]))
+        )
     for name in classification.order:
         vslot_of[name] = len(vslot_of)
-    row_inputs = tuple(
-        (name, plan.slot_of[name])
-        for name in flat.inputs
-        if name not in eligible
-    )
 
     vslot_dtype: List[Optional[str]] = [None] * len(vslot_of)
     for name, vslot in vslot_of.items():
         vslot_dtype[vslot] = kernels.dtype_name_for(flat.types[name])
-
-    # Replicate build_plan's last-cell numbering (keyed by source stream).
-    last_index: Dict[str, int] = {}
-    for expr in flat.definitions.values():
-        if isinstance(expr, Last):
-            last_index.setdefault(expr.value.name, len(last_index))
 
     protected: Set[int] = {vslot for _, vslot, _ in col_inputs}
     # Scan triples lower to one VOP_SCAN at the ``h`` member computing
@@ -530,7 +520,7 @@ def build_vector_program(
                     vslot_of[h],
                     vslot_of[k],
                     vslot_of[s],
-                    last_index[s],
+                    "_last_" + s,
                     vslot_of[x],
                     ufunc_name,
                     scan_dtype,
@@ -550,13 +540,12 @@ def build_vector_program(
             steps.append([VOP_TIME, dst, vslot_of[expr.operand.name]])
             protected.add(dst)  # column aliases the shared ts array
         elif isinstance(expr, Last):
-            src = vslot_of[expr.value.name]
             steps.append(
                 [
                     VOP_LAST,
                     dst,
-                    last_index[expr.value.name],
-                    src,
+                    "_last_" + expr.value.name,
+                    vslot_of[expr.value.name],
                     vslot_of[expr.trigger.name],
                     is_unit,
                 ]
@@ -589,71 +578,29 @@ def build_vector_program(
                     [VOP_KERNEL, dst, arg_vslots, kernel, dtn, -1, name]
                 )
 
-    # Scalar section: plan ops whose destination stream is ineligible.
-    scalar_ops = tuple(
-        op for op in plan.ops if name_of_slot[op[1]] not in eligible
-    )
-    eligible_slots = {
-        plan.slot_of[name] for name in eligible if name in plan.slot_of
-    }
-    bridge_slots: Set[int] = set()
-    for opcode, _dst, args, _fn in scalar_ops:
-        if opcode == OP_DELAY or opcode == OP_UNIT:
-            continue
-        candidates = (args[1],) if opcode == OP_LAST else args
-        for slot in candidates:
-            if slot in eligible_slots:
-                bridge_slots.add(slot)
-    for _cell, _own, reset_slot, amount_slot in plan.delay_arms:
-        for slot in (reset_slot, amount_slot):
-            if slot in eligible_slots:
-                bridge_slots.add(slot)
-    bridge = tuple(
-        (
-            slot,
-            vslot_of[name_of_slot[slot]],
-            flat.types[name_of_slot[slot]] == ty.UNIT,
-        )
-        for slot in sorted(bridge_slots)
-    )
-
     out_sched = tuple(
-        (
-            name,
-            slot,
-            vslot_of.get(name),
-            flat.types[name] == ty.UNIT,
-        )
-        for name, slot in plan.outputs
+        (name, vslot_of[name], flat.types[name] == ty.UNIT)
+        for name in flat.outputs
     )
-    last_vec: List[Tuple[int, int, bool]] = []
-    last_scalar: List[Tuple[int, int]] = []
-    for src_slot, cell in plan.last_stores:
-        src_name = name_of_slot[src_slot]
-        if src_name in eligible:
-            last_vec.append(
-                (vslot_of[src_name], cell, flat.types[src_name] == ty.UNIT)
-            )
-        else:
-            last_scalar.append((src_slot, cell))
-
-    pure = (
-        not scalar_ops
-        and plan.n_delays == 0
-        and not last_scalar
-        and all(vslot is not None for _n, _s, vslot, _u in out_sched)
+    last_sources = sorted(
+        {
+            expr.value.name
+            for expr in flat.definitions.values()
+            if isinstance(expr, Last)
+        }
+    )
+    last_vec = tuple(
+        (vslot_of[name], "_last_" + name, flat.types[name] == ty.UNIT)
+        for name in last_sources
     )
 
     # Batch-local liveness: a kernel may overwrite an argument column
     # in place iff this step is the argument's last read and nothing
-    # outside the step order (outputs, last carries, the scalar bridge,
-    # input buffers, aliased columns) can observe it afterwards.
-    for _name, _slot, vslot, _unit in out_sched:
-        if vslot is not None:
-            protected.add(vslot)
-    for vslot, _cell, _unit in last_vec:
+    # outside the step order (outputs, last carries, input buffers,
+    # aliased columns) can observe it afterwards.
+    for _name, vslot, _unit in out_sched:
         protected.add(vslot)
-    for _slot, vslot, _unit in bridge:
+    for vslot, _attr, _unit in last_vec:
         protected.add(vslot)
     last_read: Dict[int, int] = {}
     for position, step in enumerate(steps):
@@ -681,14 +628,9 @@ def build_vector_program(
         n_vslots=len(vslot_of),
         vslot_of=dict(vslot_of),
         col_inputs=tuple(col_inputs),
-        row_inputs=row_inputs,
         steps=tuple(tuple(step) for step in steps),
-        pure=pure,
-        scalar_ops=scalar_ops,
-        bridge=bridge,
         out_sched=out_sched,
-        last_vec=tuple(last_vec),
-        last_scalar=tuple(last_scalar),
+        last_vec=last_vec,
         inplace_steps=tuple(inplace_steps),
     )
 
@@ -697,21 +639,18 @@ def build_vector_program(
 # Runtime
 
 
-class VectorMonitorBase(PlanMonitorBase):
-    """Hybrid columnar/plan monitor.
+class VectorMonitorBase(MonitorBase):
+    """Columnar batch paths mixed into a generated codegen monitor.
 
-    ``feed_batch``/``feed_columns`` run the eligible streams as whole
-    columns over the batch's timestamp slice; ineligible streams run in
-    the inherited plan loop.  Per-event ``push``, ``snapshot``/
-    ``restore`` and the delay machinery are inherited unchanged — the
-    only cross-batch state is the plan state (last cells, delay cells,
-    pending input attributes).
+    ``feed_batch``/``feed_columns`` run the whole batch slice as
+    columns; everything else — per-event ``push``, the valid prefix of a
+    rejected batch, the pending-timestamp merge corner, ``snapshot``/
+    ``restore`` — is the generated class's code over its own state.
     """
 
-    VPROG: Optional[VectorProgram] = None
+    VPROG: VectorProgram = None  # type: ignore[assignment]
     NP: Any = None
     METRICS: Any = None
-    SOURCE = "<vector engine — columnar numpy kernels, no generated source>"
 
     # -- batched ingestion -------------------------------------------------
 
@@ -722,14 +661,12 @@ class VectorMonitorBase(PlanMonitorBase):
             events = list(events)
         if not events:
             return 0
-        if self.VPROG is None:
-            return super().feed_batch(events)
         packed = self._pack_batch(events)
         if packed is not None:
             return self._feed_batch_fast(events, *packed)
         error_index, error = self._validate_batch(events)
         if error is not None:
-            # Replay the valid prefix through the scalar path so the
+            # Replay the valid prefix through the generated code so the
             # partial progress is byte-identical to a push loop.
             if error_index:
                 super().feed_batch(events[:error_index])
@@ -767,9 +704,9 @@ class VectorMonitorBase(PlanMonitorBase):
 
             if TRACER.enabled:
                 with TRACER.span("run.vector_batch"):
-                    self._vector_slice(slice_events, tail_ts)
+                    self._vector_slice(slice_events)
             else:
-                self._vector_slice(slice_events, tail_ts)
+                self._vector_slice(slice_events)
         for _ts, name, value in tail_events:
             setattr(self, input_attrs[name], value)
         self._pending_ts = tail_ts
@@ -784,12 +721,11 @@ class VectorMonitorBase(PlanMonitorBase):
         batch provably passes every per-event protocol check, so the
         caller can skip the row loop entirely.  Any irregularity —
         malformed rows, unknown streams, None payloads, reordered or
-        pending-merging timestamps, row-shim inputs — returns None and
-        the scalar path takes over to report the exact offending index
-        with its exact message.
+        pending-merging timestamps — returns None and the row path
+        takes over to report the exact offending index with its exact
+        message.
         """
-        prog = self.VPROG
-        if prog.row_inputs or len(events) < 64:
+        if len(events) < 64:
             return None
         np = self.NP
         try:
@@ -850,13 +786,9 @@ class VectorMonitorBase(PlanMonitorBase):
 
             if TRACER.enabled:
                 with TRACER.span("run.vector_batch"):
-                    self._vector_exec(
-                        ts_list, cols, masks, None, tail_ts, ts_slice
-                    )
+                    self._vector_exec(ts_list, cols, masks, ts_slice)
             else:
-                self._vector_exec(
-                    ts_list, cols, masks, None, tail_ts, ts_slice
-                )
+                self._vector_exec(ts_list, cols, masks, ts_slice)
         for _ts, name, value in events[split:]:
             setattr(self, input_attrs[name], value)
         self._pending_ts = tail_ts
@@ -942,19 +874,19 @@ class VectorMonitorBase(PlanMonitorBase):
         timestamps: Sequence[int],
         columns: Mapping[str, Sequence[Any]],
     ) -> int:
-        """Columnar ingestion: zero-copy handoff to the vector engine.
+        """Columnar ingestion: zero-copy handoff to the column program.
 
         Dense semantics: every stream in *columns* has an event at
         every timestamp; streams absent from *columns* have none.
         Timestamps must be strictly increasing.  Caller arrays are
-        never mutated; eligible numeric columns are consumed as numpy
-        views without row conversion.  The final timestamp stays
-        pending, exactly as with :meth:`feed_batch`.
+        never mutated; numeric columns are consumed as numpy views
+        without row conversion.  The final timestamp stays pending,
+        exactly as with :meth:`feed_batch`.
         """
-        prog = self.VPROG
-        if prog is None or self._finished or self._pending_ts is not None:
-            # Scalar engines / pending-merge corner: row-convert.
+        if self._finished or self._pending_ts is not None:
+            # Pending-merge corner: row-convert.
             return super().feed_columns(timestamps, columns)
+        prog = self.VPROG
         np = self.NP
         ts_arr = np.asarray(timestamps)
         if ts_arr.dtype != np.int64:
@@ -1007,9 +939,8 @@ class VectorMonitorBase(PlanMonitorBase):
             return count
 
         sliced = total - 1
-        n_vslots = prog.n_vslots
-        cols: List[Any] = [None] * n_vslots
-        masks: List[Any] = [None] * n_vslots
+        cols: List[Any] = [None] * prog.n_vslots
+        masks: List[Any] = [None] * prog.n_vslots
         for name, vslot, dtype_name in prog.col_inputs:
             column = columns.get(name)
             if column is None:
@@ -1026,20 +957,6 @@ class VectorMonitorBase(PlanMonitorBase):
                     if arr.dtype != target:
                         arr = arr.astype(target)
                     cols[vslot] = arr[:sliced]
-        row_values: Optional[Dict[str, List[Any]]] = None
-        if prog.row_inputs:
-            row_values = {}
-            for name, _slot in prog.row_inputs:
-                column = columns.get(name)
-                if column is None:
-                    row_values[name] = [None] * sliced
-                else:
-                    values = (
-                        column.tolist()
-                        if hasattr(column, "tolist")
-                        else list(column)
-                    )
-                    row_values[name] = values[:sliced]
 
         if self._done_ts < 0 and ts_list[0] > 0:
             self._run_calc(0)
@@ -1047,13 +964,9 @@ class VectorMonitorBase(PlanMonitorBase):
 
         if TRACER.enabled:
             with TRACER.span("run.vector_batch"):
-                self._vector_exec(
-                    ts_list[:sliced], cols, masks, row_values, tail_ts
-                )
+                self._vector_exec(ts_list[:sliced], cols, masks)
         else:
-            self._vector_exec(
-                ts_list[:sliced], cols, masks, row_values, tail_ts
-            )
+            self._vector_exec(ts_list[:sliced], cols, masks)
         self._set_column_tail(columns, total - 1)
         self._pending_ts = tail_ts
         return count
@@ -1074,9 +987,7 @@ class VectorMonitorBase(PlanMonitorBase):
 
     # -- columnar execution ------------------------------------------------
 
-    def _vector_slice(
-        self, events: List[Tuple[int, str, Any]], bound_ts: int
-    ) -> None:
+    def _vector_slice(self, events: List[Tuple[int, str, Any]]) -> None:
         """Run one slice of row events through the columnar pass."""
         np = self.NP
         prog = self.VPROG
@@ -1088,9 +999,8 @@ class VectorMonitorBase(PlanMonitorBase):
                 ts_list.append(ts)
                 previous = ts
         length = len(ts_list)
-        n_vslots = prog.n_vslots
-        cols: List[Any] = [None] * n_vslots
-        masks: List[Any] = [None] * n_vslots
+        cols: List[Any] = [None] * prog.n_vslots
+        masks: List[Any] = [None] * prog.n_vslots
         col_slot_by_name: Dict[str, int] = {}
         for name, vslot, dtype_name in prog.col_inputs:
             masks[vslot] = np.zeros(length, dtype=bool)
@@ -1099,34 +1009,24 @@ class VectorMonitorBase(PlanMonitorBase):
                     length, dtype=kernels.resolve_dtype(np, dtype_name)
                 )
             col_slot_by_name[name] = vslot
-        row_values: Optional[Dict[str, List[Any]]] = None
-        if prog.row_inputs:
-            row_values = {
-                name: [None] * length for name, _slot in prog.row_inputs
-            }
         position = -1
         previous = None
         for ts, name, value in events:
             if ts != previous:
                 position += 1
                 previous = ts
-            vslot = col_slot_by_name.get(name)
-            if vslot is not None:
-                masks[vslot][position] = True
-                column = cols[vslot]
-                if column is not None:
-                    column[position] = value
-            else:
-                row_values[name][position] = value
-        self._vector_exec(ts_list, cols, masks, row_values, bound_ts)
+            vslot = col_slot_by_name[name]
+            masks[vslot][position] = True
+            column = cols[vslot]
+            if column is not None:
+                column[position] = value
+        self._vector_exec(ts_list, cols, masks)
 
     def _vector_exec(
         self,
         ts_list: List[int],
         cols: List[Any],
         masks: List[Any],
-        row_values: Optional[Dict[str, List[Any]]],
-        bound_ts: int,
         ts_arr: Any = None,
     ) -> None:
         np = self.NP
@@ -1184,12 +1084,9 @@ class VectorMonitorBase(PlanMonitorBase):
                         length, dtype=kernels.resolve_dtype(np, dtype_name)
                     )
                 )
-        if prog.pure:
-            self._emit_columns(ts_list, cols, masks)
-            self._store_last_columns(np, cols, masks)
-            self._done_ts = ts_list[-1]
-        else:
-            self._hybrid_loop(ts_list, cols, masks, row_values, bound_ts)
+        self._emit_columns(ts_list, cols, masks)
+        self._store_last_columns(np, cols, masks)
+        self._done_ts = ts_list[-1]
 
     def _exec_kernel(
         self,
@@ -1245,10 +1142,10 @@ class VectorMonitorBase(PlanMonitorBase):
         masks: List[Any],
         step: tuple,
     ) -> None:
-        _kind, dst, cell, src, trigger, is_unit = step
+        _kind, dst, attr, src, trigger, is_unit = step
         mask_src = masks[src]
         mask_trigger = masks[trigger]
-        carry = self._last_cells[cell]
+        carry = getattr(self, attr)
         event_at = np.where(mask_src, arange, -1)
         running = np.maximum.accumulate(event_at)
         previous = np.empty(length, dtype=np.int64)
@@ -1284,16 +1181,16 @@ class VectorMonitorBase(PlanMonitorBase):
         order as the per-event feedback loop, so results are
         bit-identical (the dtype gate in :data:`kernels.SCAN_UFUNCS`
         excludes the one divergent case, float ``max``/``min``).  The
-        cross-batch seed is the plan engine's last cell for ``s``,
+        cross-batch seed is the generated monitor's ``_last_<s>`` cell,
         which ``_store_last_columns`` keeps current because ``s`` is a
         ``last`` source.
         """
-        (_kind, dst_h, dst_k, dst_s, cell, src_x,
+        (_kind, dst_h, dst_k, dst_s, attr, src_x,
          ufunc_name, dtype_name, name) = step
         mask = masks[src_x]
         dtype = kernels.resolve_dtype(np, dtype_name)
         ufunc = getattr(np, ufunc_name)
-        carry = self._last_cells[cell]
+        carry = getattr(self, attr)
         idx = np.flatnonzero(mask)
         vals = cols[src_x][idx]
         col_h = np.zeros(length, dtype=dtype)
@@ -1339,12 +1236,13 @@ class VectorMonitorBase(PlanMonitorBase):
     ) -> None:
         # Iterate only the rows where something fires: monitors whose
         # outputs are sparse alerts pay for firings, not batch length.
-        prog = self.VPROG
+        sched = self.VPROG.out_sched
+        if not sched:
+            return
         emit = self._on_output
         np = self.NP
-        sched = prog.out_sched
         if len(sched) == 1:
-            name, _slot, vslot, is_unit = sched[0]
+            name, vslot, is_unit = sched[0]
             indices = np.flatnonzero(masks[vslot])
             if not indices.size:
                 return
@@ -1356,8 +1254,8 @@ class VectorMonitorBase(PlanMonitorBase):
                 for index, value in zip(indices.tolist(), values):
                     emit(name, ts_list[index], value)
             return
-        any_mask = masks[sched[0][2]]
-        for _name, _slot, vslot, _is_unit in sched[1:]:
+        any_mask = masks[sched[0][1]]
+        for _name, vslot, _is_unit in sched[1:]:
             any_mask = any_mask | masks[vslot]
         rows = np.flatnonzero(any_mask).tolist()
         if not rows:
@@ -1368,7 +1266,7 @@ class VectorMonitorBase(PlanMonitorBase):
                 masks[vslot].tolist(),
                 None if is_unit else cols[vslot].tolist(),
             )
-            for name, _slot, vslot, is_unit in sched
+            for name, vslot, is_unit in sched
         ]
         for index in rows:
             ts = ts_list[index]
@@ -1385,189 +1283,14 @@ class VectorMonitorBase(PlanMonitorBase):
     def _store_last_columns(
         self, np: Any, cols: List[Any], masks: List[Any]
     ) -> None:
-        cells = self._last_cells
-        for vslot, cell, is_unit in self.VPROG.last_vec:
+        for vslot, attr, is_unit in self.VPROG.last_vec:
             indices = np.flatnonzero(masks[vslot])
             if indices.size:
-                cells[cell] = (
-                    UNIT_VALUE if is_unit else cols[vslot][indices[-1]].item()
+                setattr(
+                    self,
+                    attr,
+                    UNIT_VALUE if is_unit else cols[vslot][indices[-1]].item(),
                 )
-
-    def _hybrid_loop(
-        self,
-        ts_list: List[int],
-        cols: List[Any],
-        masks: List[Any],
-        row_values: Optional[Dict[str, List[Any]]],
-        bound_ts: int,
-    ) -> None:
-        """Per-timestamp scalar loop for the ineligible streams.
-
-        Eligible values computed by the columnar pass are bridged in by
-        timestamp index; delay-generated timestamps carry no eligible
-        events (eligibility is dependency-closed away from delays).
-
-        The bridge is *sparse*: instead of materializing every eligible
-        column as a full Python list per batch (paying O(batch length)
-        per bridged stream even when it rarely fires), each bridged
-        slot keeps only its firing positions and the values gathered at
-        those positions, walked by a cursor that advances monotonically
-        with ``column_index``.  The loop still visits every timestamp,
-        but conversion cost is proportional to firings.
-        """
-        prog = self.VPROG
-        plan = self.PLAN
-        np = self.NP
-
-        def _sparse(vslot: int, is_unit: bool) -> Tuple[List[int], Any]:
-            positions = np.flatnonzero(masks[vslot])
-            gathered = (
-                None if is_unit else cols[vslot][positions].tolist()
-            )
-            return positions.tolist(), gathered
-
-        # Mutable entries: the last element is the cursor into positions.
-        bridge = []
-        for slot, vslot, is_unit in prog.bridge:
-            positions, gathered = _sparse(vslot, is_unit)
-            bridge.append([slot, positions, gathered, 0])
-        outputs = []
-        for name, slot, vslot, is_unit in prog.out_sched:
-            if vslot is None:
-                outputs.append([name, slot, None, None, 0])
-            else:
-                positions, gathered = _sparse(vslot, is_unit)
-                outputs.append([name, slot, positions, gathered, 0])
-        vector_lasts = []
-        for vslot, cell, is_unit in prog.last_vec:
-            positions, gathered = _sparse(vslot, is_unit)
-            vector_lasts.append([cell, positions, gathered, 0])
-        values = self._values
-        cells = self._last_cells
-        nxt = self._next_cells
-        emit = self._on_output
-        has_delays = self.HAS_DELAYS
-        n_slots = len(values)
-        length = len(ts_list)
-        index = 0
-        while True:
-            upcoming = self._next_delay() if has_delays else None
-            if index < length:
-                input_ts = ts_list[index]
-                if upcoming is not None and upcoming < input_ts:
-                    ts, column_index = upcoming, None
-                else:
-                    ts, column_index = input_ts, index
-            elif upcoming is not None and upcoming < bound_ts:
-                ts, column_index = upcoming, None
-            else:
-                break
-            for slot in range(n_slots):
-                values[slot] = None
-            if column_index is not None:
-                if row_values is not None:
-                    for name, slot in prog.row_inputs:
-                        value = row_values[name][column_index]
-                        if value is not None:
-                            values[slot] = value
-                for entry in bridge:
-                    positions = entry[1]
-                    cursor = entry[3]
-                    if (
-                        cursor < len(positions)
-                        and positions[cursor] == column_index
-                    ):
-                        gathered = entry[2]
-                        values[entry[0]] = (
-                            UNIT_VALUE
-                            if gathered is None
-                            else gathered[cursor]
-                        )
-                        entry[3] = cursor + 1
-            for opcode, dst, args, fn in prog.scalar_ops:
-                if opcode == OP_LIFT_ALL:
-                    triggered = True
-                    for a in args:
-                        if values[a] is None:
-                            triggered = False
-                            break
-                    if triggered:
-                        values[dst] = fn(*[values[a] for a in args])
-                elif opcode == OP_MERGE:
-                    first = values[args[0]]
-                    values[dst] = (
-                        first if first is not None else values[args[1]]
-                    )
-                elif opcode == OP_LIFT_ANY:
-                    triggered = False
-                    for a in args:
-                        if values[a] is not None:
-                            triggered = True
-                            break
-                    if triggered:
-                        values[dst] = fn(*[values[a] for a in args])
-                elif opcode == OP_LAST:
-                    if values[args[1]] is not None:
-                        values[dst] = cells[args[0]]
-                elif opcode == OP_TIME:
-                    if values[args[0]] is not None:
-                        values[dst] = ts
-                elif opcode == OP_UNIT:
-                    if ts == 0:
-                        values[dst] = UNIT_VALUE
-                else:  # OP_DELAY
-                    if nxt[args[0]] == ts:
-                        values[dst] = UNIT_VALUE
-            for entry in outputs:
-                positions = entry[2]
-                if positions is None:
-                    value = values[entry[1]]
-                    if value is not None:
-                        emit(entry[0], ts, value)
-                elif column_index is not None:
-                    cursor = entry[4]
-                    if (
-                        cursor < len(positions)
-                        and positions[cursor] == column_index
-                    ):
-                        gathered = entry[3]
-                        emit(
-                            entry[0],
-                            ts,
-                            UNIT_VALUE
-                            if gathered is None
-                            else gathered[cursor],
-                        )
-                        entry[4] = cursor + 1
-            for entry in vector_lasts:
-                if column_index is not None:
-                    positions = entry[1]
-                    cursor = entry[3]
-                    if (
-                        cursor < len(positions)
-                        and positions[cursor] == column_index
-                    ):
-                        gathered = entry[2]
-                        cells[entry[0]] = (
-                            UNIT_VALUE
-                            if gathered is None
-                            else gathered[cursor]
-                        )
-                        entry[3] = cursor + 1
-            for slot, cell in prog.last_scalar:
-                value = values[slot]
-                if value is not None:
-                    cells[cell] = value
-            for cell, own_slot, reset_slot, amount_slot in plan.delay_arms:
-                if (
-                    values[reset_slot] is not None
-                    or values[own_slot] is not None
-                ):
-                    amount = values[amount_slot]
-                    nxt[cell] = ts + amount if amount is not None else None
-            self._done_ts = ts
-            if column_index is not None:
-                index += 1
 
 
 # ---------------------------------------------------------------------------
@@ -1575,49 +1298,23 @@ class VectorMonitorBase(PlanMonitorBase):
 
 
 def make_vector_class(
+    base: type,
     flat: FlatSpec,
-    order: Sequence[str],
-    backends: Mapping[str, Backend],
-    default_backend: Backend = Backend.PERSISTENT,
-    class_name: str = "VectorMonitor",
-    error_policy: Optional[ErrorPolicy] = None,
+    classification: VectorClassification,
     metrics: Optional[Any] = None,
-    classification: Optional[VectorClassification] = None,
 ) -> type:
-    """Build a vector-engine monitor class for *flat*.
-
-    The full execution plan is always built (per-event path, scalar
-    fallback section); the columnar program covers the eligible
-    families.  With an error policy — or nothing eligible — the class
-    degrades to plain plan-engine behavior, error semantics included.
-    """
-    np = kernels.numpy_module()
-    plan = build_plan(
-        flat,
-        order,
-        backends,
-        default_backend=default_backend,
-        error_policy=error_policy,
-        metrics=metrics,
-    )
-    if classification is None:
-        classification = classify_vector(flat, error_policy=error_policy)
-    if error_policy is not None or not classification.eligible:
-        program = None
-    else:
-        program = build_vector_program(
-            flat, plan, classification, default_backend=default_backend
-        )
+    """Mix the columnar batch paths into *base*, the generated codegen
+    monitor class of the same fully columnar *flat*."""
+    program = build_vector_program(flat, classification)
     return type(
-        class_name,
-        (VectorMonitorBase,),
+        base.__name__,
+        (VectorMonitorBase, base),
         {
-            "INPUTS": tuple(flat.inputs),
-            "OUTPUTS": tuple(flat.outputs),
-            "HAS_DELAYS": plan.n_delays > 0,
-            "PLAN": plan,
             "VPROG": program,
-            "NP": np,
-            "METRICS": metrics if (metrics and getattr(metrics, "enabled", True)) else None,
+            "NP": kernels.numpy_module(),
+            "METRICS": (
+                metrics if metrics and getattr(metrics, "enabled", True)
+                else None
+            ),
         },
     )

@@ -31,7 +31,6 @@ from typing import Dict, List, Set
 
 from .ast import Delay, Last, Lift, Nil, TimeExpr, UnitExpr, free_vars
 from .builtins import EventPattern
-from .prune import live_streams
 from .spec import FlatSpec
 
 #: check slug → stable diagnostic code (see docs/analysis.md).
@@ -59,6 +58,22 @@ class LintWarning:
 
     def __str__(self) -> str:
         return f"[{self.code}] {self.stream}: {self.message}"
+
+
+def live_streams(flat: FlatSpec) -> Set[str]:
+    """Streams reachable from the outputs through any dependency —
+    including ``last``/``delay`` dependencies, which carry state across
+    timestamps, and ``delay`` reset inputs."""
+    live: Set[str] = set()
+    stack = list(flat.outputs)
+    while stack:
+        name = stack.pop()
+        if name in live:
+            continue
+        live.add(name)
+        if name in flat.definitions:
+            stack.extend(free_vars(flat.definitions[name]))
+    return live
 
 
 def zero_only_streams(flat: FlatSpec) -> Set[str]:
@@ -172,8 +187,8 @@ def lint(flat: FlatSpec) -> List[LintWarning]:
                     "dead-stream",
                     name,
                     "no output depends on this stream; it will be computed"
-                    " but never observed (compile with prune_dead=True to"
-                    " drop it)",
+                    " but never observed (compile with rewrite=True: the"
+                    " OPT005 dead-stream rule drops it)",
                 )
             )
 

@@ -35,9 +35,8 @@ The rules (fixpoint-applied by :mod:`repro.opt.engine`):
     evaluated at rewrite time.
 
 ``OPT005`` **dead-stream elimination** — streams no output
-    (transitively) depends on are dropped.  This absorbs
-    :mod:`repro.lang.prune`; :func:`project_live` is the shared
-    non-deprecated implementation.
+    (transitively) depends on are dropped; :func:`project_live` is the
+    projection.
 
 ``OPT006`` **never-firing normalization** — the ``last``/``delay``
     normalization family: a stream the sound may-fire analysis proves
@@ -57,8 +56,7 @@ from ..analysis.formula import Atom
 from ..lang.ast import Delay, Expr, Last, Lift, Nil, TimeExpr, UnitExpr, Var, free_vars
 from ..lang.builtins import Access, EventPattern, LiftedFunction, const_fn
 from ..lang.flatten import _constructs_aggregate
-from ..lang.lint import may_fire_streams
-from ..lang.prune import live_streams
+from ..lang.lint import live_streams, may_fire_streams
 from ..lang.spec import FlatSpec
 from ..structures import Backend
 
@@ -198,8 +196,7 @@ def project_live(flat: FlatSpec) -> FlatSpec:
     """Restrict *flat* to output-reachable streams (same object when
     nothing is dead).
 
-    The shared dead-stream projection: the optimizer's OPT005 rule and
-    the deprecated :func:`repro.lang.prune.prune` both delegate here.
+    The dead-stream projection behind the optimizer's OPT005 rule.
     Input streams stay in the interface even when dead.
     """
     live = live_streams(flat)

@@ -182,8 +182,8 @@ class TestSnapshotEveryAggregateKind:
 
 
 class TestCheckpointOtherEngines:
-    def test_interpreted_engine(self):
-        compiled = build_compiled_spec(seen_set(), engine="interpreted")
+    def test_pending_event_in_snapshot(self):
+        compiled = build_compiled_spec(seen_set())
         on_output, collected = collecting_callback()
         monitor = compiled.new_monitor(on_output)
         monitor.push("i", 1, 4)

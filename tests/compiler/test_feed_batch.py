@@ -29,12 +29,29 @@ from repro.speclib import (
 )
 
 from repro.compiler.kernels import numpy_available
+from repro.frontend import parse_spec
 
 # The vector engine rides along wherever numpy is present; without it
 # the suite must still pass (engine="vector" then refuses to compile).
-ENGINES = ["codegen", "interpreted", "plan"] + (
-    ["vector"] if numpy_available() else []
-)
+ENGINES = ["codegen"] + (["vector"] if numpy_available() else [])
+
+SCALAR_CHAIN = """
+in i: Int
+def prev := last(i, i)
+def d := sub(i, prev)
+def up := gt(d, 0)
+out d
+out up
+"""
+
+
+def scalar_chain():
+    return parse_spec(SCALAR_CHAIN)
+
+
+#: engine → a single-input ("i") spec it runs: explicit ``vector``
+#: only compiles fully columnar specs.
+SPEC_FOR = {"codegen": seen_set, "vector": scalar_chain}
 
 
 def random_events(names, length, domain, seed, start=1):
@@ -97,13 +114,21 @@ CASES = [
     ("db_time", db_time_constraint, ["db2", "db3"], None),
     ("db_access", db_access_constraint, ["ins", "del_", "acc"], None),
     ("watchdog", lambda: watchdog(5), ["hb"], 200),
+    ("scalar_chain", scalar_chain, ["i"], None),
+]
+#: Cases the columnar program covers entirely.
+COLUMNAR = {"scalar_chain"}
+ENGINE_CASES = [
+    pytest.param(engine, *case, id=f"{case[0]}-{engine}")
+    for case in CASES
+    for engine in ENGINES
+    if engine == "codegen" or case[0] in COLUMNAR
 ]
 
 
 class TestBatchEqualsPush:
-    @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize(
-        "name,factory,inputs,end_time", CASES, ids=[c[0] for c in CASES]
+        "engine,name,factory,inputs,end_time", ENGINE_CASES
     )
     def test_identical_to_push_and_reference(
         self, engine, name, factory, inputs, end_time
@@ -127,10 +152,11 @@ class TestBatchEqualsPush:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_timestamp_zero_events(self, engine):
-        compiled = build_compiled_spec(seen_set(), engine=engine)
+        spec = SPEC_FOR[engine]
+        compiled = build_compiled_spec(spec(), engine=engine)
         events = [(0, "i", 1), (1, "i", 1), (1, "i", 2), (3, "i", 2)]
         assert outputs_via_batch(compiled, events, 2) == outputs_via_push(
-            build_compiled_spec(seen_set(), engine=engine), events
+            build_compiled_spec(spec(), engine=engine), events
         )
 
     def test_generated_override_present_for_delay_free_specs(self):
@@ -146,10 +172,12 @@ class TestBatchEqualsPush:
         events = random_events(["i"], 60, 6, seed=3)
         split = len(events) // 2
         whole = outputs_via_push(
-            build_compiled_spec(seen_set(), engine=engine), events
+            build_compiled_spec(SPEC_FOR[engine](), engine=engine), events
         )
         on_output, collected = collecting_callback()
-        monitor = build_compiled_spec(seen_set(), engine=engine).new_monitor(
+        monitor = build_compiled_spec(
+            SPEC_FOR[engine](), engine=engine
+        ).new_monitor(
             on_output
         )
         monitor.feed_batch(events[:split])
@@ -164,14 +192,14 @@ class TestBatchEqualsPush:
         # must still be seamless (the timestamp stays pending).
         events = [(1, "i", 1), (2, "i", 2), (2, "i", 3), (2, "i", 4), (5, "i", 5)]
         on_output, collected = collecting_callback()
-        monitor = build_compiled_spec(seen_set(), engine=engine).new_monitor(
-            on_output
-        )
+        monitor = build_compiled_spec(
+            SPEC_FOR[engine](), engine=engine
+        ).new_monitor(on_output)
         monitor.feed_batch(events[:3])
         monitor.feed_batch(events[3:])
         monitor.finish()
         assert collected == outputs_via_push(
-            build_compiled_spec(seen_set(), engine=engine), events
+            build_compiled_spec(SPEC_FOR[engine](), engine=engine), events
         )
 
 
@@ -179,7 +207,7 @@ class TestBatchProtocolErrors:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_unknown_stream(self, engine):
         monitor = build_compiled_spec(
-            seen_set(), engine=engine
+            SPEC_FOR[engine](), engine=engine
         ).new_monitor()
         with pytest.raises(MonitorError, match="unknown input stream"):
             monitor.feed_batch([(1, "nope", 1)])
@@ -187,7 +215,7 @@ class TestBatchProtocolErrors:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_none_payload(self, engine):
         monitor = build_compiled_spec(
-            seen_set(), engine=engine
+            SPEC_FOR[engine](), engine=engine
         ).new_monitor()
         with pytest.raises(MonitorError, match="no-event value"):
             monitor.feed_batch([(1, "i", None)])
@@ -195,7 +223,7 @@ class TestBatchProtocolErrors:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_out_of_order_within_batch(self, engine):
         monitor = build_compiled_spec(
-            seen_set(), engine=engine
+            SPEC_FOR[engine](), engine=engine
         ).new_monitor()
         with pytest.raises(MonitorError, match="out-of-order"):
             monitor.feed_batch([(5, "i", 1), (3, "i", 2)])
@@ -203,7 +231,7 @@ class TestBatchProtocolErrors:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_negative_timestamp(self, engine):
         monitor = build_compiled_spec(
-            seen_set(), engine=engine
+            SPEC_FOR[engine](), engine=engine
         ).new_monitor()
         with pytest.raises(MonitorError, match="negative timestamp"):
             monitor.feed_batch([(-1, "i", 1)])
@@ -211,7 +239,7 @@ class TestBatchProtocolErrors:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_after_finish(self, engine):
         monitor = build_compiled_spec(
-            seen_set(), engine=engine
+            SPEC_FOR[engine](), engine=engine
         ).new_monitor()
         monitor.finish()
         with pytest.raises(MonitorError, match="after finish"):
@@ -220,7 +248,7 @@ class TestBatchProtocolErrors:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_stale_timestamp_across_batches(self, engine):
         monitor = build_compiled_spec(
-            seen_set(), engine=engine
+            SPEC_FOR[engine](), engine=engine
         ).new_monitor()
         monitor.feed_batch([(1, "i", 1), (5, "i", 2)])
         monitor.advance(10)  # flushes t=5; the calculation frontier is 5

@@ -47,7 +47,7 @@ class TestFingerprints:
             {"backend_override": Backend.COPYING},
             {"alias_guard": True},
             {"error_policy": ErrorPolicy.PROPAGATE},
-            {"engine": "plan"},
+            {"rewrite": True},
         ],
         ids=lambda o: next(iter(o)),
     )
@@ -377,11 +377,14 @@ class TestTextKeyedFastPath:
             api.compile(SEEN_SET_TEXT), events
         )
 
-    def test_text_fingerprint_covers_prune_dead(self):
+    def test_text_fingerprint_covers_requested_engine(self):
+        # A text hit skips classification, so "auto" entries (stored
+        # only for specs that resolve to generated code anyway) never
+        # share a key with "codegen" entries.
         from repro.compiler.plancache import text_fingerprint
 
         assert text_fingerprint(SEEN_SET_TEXT) != text_fingerprint(
-            SEEN_SET_TEXT, prune_dead=True
+            SEEN_SET_TEXT, engine="auto"
         )
 
     def test_recipe_rejects_unknown_builtin(self):

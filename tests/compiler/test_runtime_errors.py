@@ -15,7 +15,9 @@ from repro.compiler import MonitorError
 from repro.compiler.runtime import RunReport, delay_next, validate_value
 from repro.lang import types as ty
 
-ENGINES = ["codegen", "interpreted"]
+# Error policies run on generated code only: the columnar program does
+# not evaluate under an error policy (engine="vector" refuses them).
+ENGINES = ["codegen"]
 
 DIV_SPEC = """
 in a: Int

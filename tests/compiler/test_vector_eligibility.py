@@ -1,11 +1,11 @@
 """Unit tests for the vector-eligibility classification.
 
-``classify_vector`` decides, per alias-closed stream family, whether
-the family can execute as columnar numpy kernels: scalar types only,
-registered kernels for every lift, no ``delay`` (data-dependent clock
-feedback inside a batch slice), and no dependency on an ineligible
-stream.  The verdicts drive ``engine="auto"`` resolution and the
-``VEC001``/``VEC002`` diagnostics.
+``classify_vector`` decides, per stream, whether it can execute as
+columnar numpy kernels: scalar types only, registered kernels for every
+lift, no ``delay`` (data-dependent clock feedback inside a batch
+slice), and no dependency on an ineligible stream.  A spec is columnar
+when every stream is; that drives ``engine="auto"`` resolution, and
+the per-family ``VEC001``/``VEC002`` diagnostics explain the rest.
 """
 
 import pytest
@@ -83,7 +83,8 @@ class TestIneligible:
         flat = flatten(seen_set())
         check_types(flat)
         cls = classify_vector(flat)
-        assert cls.auto_engine == "plan"
+        assert cls.auto_engine == "codegen"
+        assert not cls.columnar
         assert "seen" not in cls.eligible
         diags = cls.diagnostics()
         assert diags and all(d.code == "VEC001" for d in diags)
@@ -104,6 +105,7 @@ class TestIneligible:
         assert "d" not in cls.eligible
         assert "t" not in cls.eligible  # depends on the delay
         assert "dbl" in cls.eligible
+        assert not cls.columnar and cls.auto_engine == "codegen"
         reasons = dict(cls.reasons)
         assert "clock feedback" in reasons["d"]
 
@@ -116,7 +118,7 @@ class TestIneligible:
             """
         )
         assert "t" not in cls.eligible
-        assert cls.auto_engine == "plan"
+        assert cls.auto_engine == "codegen"
 
     def test_dependency_on_ineligible_stream_propagates(self):
         # `count` expands to an ad-hoc (unregistered) lift, so `agg` is
@@ -139,18 +141,27 @@ class TestIneligible:
         check_types(flat)
         cls = classify_vector(flat, error_policy=ErrorPolicy.PROPAGATE)
         assert cls.error_mode
-        assert cls.auto_engine == "plan"
+        assert cls.auto_engine == "codegen"
 
 
 class TestNumpyAbsent:
-    def test_missing_numpy_resolves_plan_with_vec002(self, monkeypatch):
+    def test_missing_numpy_resolves_codegen_with_vec002(self, monkeypatch):
         monkeypatch.setattr(kernels, "_np", None)
         flat = flatten(parse_spec(SCALAR_CHAIN))
         check_types(flat)
         cls = classify_vector(flat)
         assert not cls.numpy_ok
-        assert cls.auto_engine == "plan"
+        assert cls.auto_engine == "codegen"
         assert [d.code for d in cls.diagnostics()] == ["VEC002"]
+
+    def test_numpy_probed_only_for_columnar_specs(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_np", kernels._UNPROBED)
+        flat = flatten(seen_set())
+        check_types(flat)
+        cls = classify_vector(flat)
+        assert cls.numpy_ok is None
+        assert kernels._np is kernels._UNPROBED
+        assert "VEC002" not in [d.code for d in cls.diagnostics()]
 
 
 class TestKernelSemantics:

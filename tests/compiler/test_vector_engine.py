@@ -1,11 +1,13 @@
 """Behavioral tests for the columnar vector engine.
 
-The vector monitor must be indistinguishable from the plan engine on
-every observable surface: outputs (byte-identical Python values), the
-batch protocol's error messages and partial-progress contract, carry
-state across batch boundaries, per-event ``push`` interleaving, and
-snapshot/restore.  Where it *is* allowed to differ — per-kernel
-metrics, the ``SOURCE`` sentinel — those are pinned here too.
+The vector monitor must be indistinguishable from the generated codegen
+monitor it is built on, on every observable surface: outputs
+(byte-identical Python values), the batch protocol's error messages
+and partial-progress contract, carry state across batch boundaries,
+per-event ``push`` interleaving, and snapshot/restore — snapshots and
+checkpoints interchange between the two engines.  Specs the columnar
+program does not cover entirely are refused with the ``VEC00x``
+witnesses; per-kernel metrics are pinned here too.
 """
 
 import pytest
@@ -38,31 +40,12 @@ out m
 out f
 """
 
-HYBRID = """
-in i: Int
-def agg := count(i)
-def dbl := add(i, i)
-out agg
-out dbl
-"""
-
-DELAYED = """
-in a: Int
-in r: Unit
-def d := delay(a, r)
-def t := time(d)
-def dbl := add(a, a)
-out t
-out dbl
-"""
-
-
 def compile_pair(text, **kwargs):
     flat = flatten(parse_spec(text))
     check_types(flat)
     vec = build_compiled_spec(flat, engine="vector", **kwargs)
-    plan = build_compiled_spec(flat, engine="plan", **kwargs)
-    return vec, plan
+    gen = build_compiled_spec(flat, engine="codegen", **kwargs)
+    return vec, gen
 
 
 def run_batches(compiled, event_batches, end_time=None):
@@ -80,49 +63,75 @@ def chain_events(n=60):
 
 class TestProgramShape:
     def test_pure_spec_gets_vector_program(self):
-        vec, _ = compile_pair(SCALAR_CHAIN)
+        vec, gen = compile_pair(SCALAR_CHAIN)
         cls = vec.monitor_class
         assert cls.VPROG is not None
-        assert cls.VPROG.pure
-        assert "columnar numpy kernels" in cls.SOURCE
+        # Built on the generated class: same source, same state.
+        assert cls.SOURCE == gen.monitor_class.SOURCE
+        assert "def _calc" in cls.SOURCE
+        assert cls.__name__ == gen.monitor_class.__name__
 
-    def test_hybrid_spec_gets_scalar_ops(self):
-        vec, _ = compile_pair(HYBRID)
-        prog = vec.monitor_class.VPROG
-        assert prog is not None and not prog.pure
-        assert prog.scalar_ops  # the count-aggregate family
+    def test_partly_columnar_spec_rejected_with_witnesses(self):
+        flat = flatten(
+            parse_spec(
+                """
+                in i: Int
+                def agg := count(i)
+                def dbl := add(i, i)
+                out agg
+                out dbl
+                """
+            )
+        )
+        with pytest.raises(ValueError, match="VEC001 .*agg"):
+            build_compiled_spec(flat, engine="vector")
 
-    def test_error_policy_degrades_to_plan_program(self):
-        vec, _ = compile_pair(SCALAR_CHAIN, error_policy="propagate")
-        assert vec.monitor_class.VPROG is None
+    def test_error_policy_rejected(self):
+        with pytest.raises(ValueError, match="error policy"):
+            compile_pair(SCALAR_CHAIN, error_policy="propagate")
 
-    def test_fully_ineligible_spec_has_no_program(self):
+    def test_fully_ineligible_spec_rejected(self):
         from repro.speclib import seen_set
 
-        compiled = build_compiled_spec(seen_set(), engine="vector")
-        assert compiled.monitor_class.VPROG is None
+        with pytest.raises(ValueError, match="VEC001"):
+            build_compiled_spec(seen_set(), engine="vector")
+
+    def test_delay_spec_rejected(self):
+        flat = flatten(
+            parse_spec(
+                """
+                in a: Int
+                in r: Unit
+                def d := delay(a, r)
+                def t := time(d)
+                out t
+                """
+            )
+        )
+        with pytest.raises(ValueError, match="clock feedback"):
+            build_compiled_spec(flat, engine="vector")
 
 
 class TestBatchBoundaries:
     @pytest.mark.parametrize("split", [1, 2, 7, 13, 59])
     def test_last_carries_across_batches(self, split):
-        vec, plan = compile_pair(SCALAR_CHAIN)
+        vec, gen = compile_pair(SCALAR_CHAIN)
         events = chain_events()
         batches = [
             events[i : i + split] for i in range(0, len(events), split)
         ]
-        assert run_batches(vec, batches) == run_batches(plan, [events])
+        assert run_batches(vec, batches) == run_batches(gen, [events])
 
     def test_batch_boundary_inside_timestamp(self):
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, gen = compile_pair(TWO_INPUT)
         events = [(1, "a", 1), (1, "b", 2), (2, "a", 3), (2, "b", 4)]
         split = [events[:1], events[1:3], events[3:]]
-        assert run_batches(vec, split) == run_batches(plan, [events])
+        assert run_batches(vec, split) == run_batches(gen, [events])
 
     def test_push_and_batch_interleave(self):
-        vec, plan = compile_pair(SCALAR_CHAIN)
+        vec, gen = compile_pair(SCALAR_CHAIN)
         events = chain_events(30)
-        expected = run_batches(plan, [events])
+        expected = run_batches(gen, [events])
         collected = []
         monitor = vec.new_monitor(lambda n, t, v: collected.append((n, t, v)))
         for ts, name, value in events[:10]:
@@ -132,16 +141,6 @@ class TestBatchBoundaries:
             monitor.push(name, ts, value)
         monitor.finish()
         assert collected == expected
-
-    def test_delay_spec_agrees(self):
-        vec, plan = compile_pair(DELAYED)
-        events = []
-        for t in range(1, 100, 3):
-            events.append((t, "a", t % 5 + 1))
-            events.append((t, "r", ()))
-        got_vec = run_batches(vec, [events], end_time=120)
-        got_plan = run_batches(plan, [events], end_time=120)
-        assert got_vec == got_plan
 
     def test_outputs_are_python_scalars(self):
         vec, _ = compile_pair(SCALAR_CHAIN)
@@ -169,9 +168,9 @@ class TestBatchProtocol:
     def test_out_of_order_keeps_partial_progress(self):
         # The scalar loop consumes events up to the offender; the
         # vectorized batch path must honor that exact contract.
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, gen = compile_pair(TWO_INPUT)
         got = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, gen):
             collected = []
             monitor = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
             with pytest.raises(MonitorError, match="out-of-order"):
@@ -182,7 +181,7 @@ class TestBatchProtocol:
             monitor.feed_batch([(3, "a", 3)])
             monitor.finish()
             got[compiled.engine] = collected
-        assert got["vector"] == got["plan"]
+        assert got["vector"] == got["codegen"]
 
     def test_after_finish(self):
         monitor, _ = self.make()
@@ -193,51 +192,51 @@ class TestBatchProtocol:
 
 class TestFeedColumns:
     def test_matches_row_feeding(self):
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, gen = compile_pair(TWO_INPUT)
         ts = list(range(1, 50))
         cols = {"a": [t % 7 for t in ts], "b": [t % 5 for t in ts]}
-        vec_out, plan_out = [], []
+        vec_out, gen_out = [], []
         mv = vec.new_monitor(lambda n, t, v: vec_out.append((n, t, v)))
         mv.feed_columns(ts, cols)
         mv.finish()
-        mp = plan.new_monitor(lambda n, t, v: plan_out.append((n, t, v)))
+        mp = gen.new_monitor(lambda n, t, v: gen_out.append((n, t, v)))
         mp.feed_columns(ts, cols)
         mp.finish()
-        assert vec_out == plan_out
+        assert vec_out == gen_out
 
     def test_numpy_columns_zero_copy_path(self):
         np = kernels.numpy_module()
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, gen = compile_pair(TWO_INPUT)
         ts = np.arange(1, 50)
         cols = {
             "a": np.arange(1, 50) % 7,
             "b": np.arange(1, 50) % 5,
         }
-        vec_out, plan_out = [], []
+        vec_out, gen_out = [], []
         mv = vec.new_monitor(lambda n, t, v: vec_out.append((n, t, v)))
         mv.feed_columns(ts, cols)
         mv.finish()
-        mp = plan.new_monitor(lambda n, t, v: plan_out.append((n, t, v)))
+        mp = gen.new_monitor(lambda n, t, v: gen_out.append((n, t, v)))
         mp.feed_columns(
             ts.tolist(), {k: v.tolist() for k, v in cols.items()}
         )
         mp.finish()
-        assert vec_out == plan_out
+        assert vec_out == gen_out
         assert all(type(v) in (int, bool) for _, _, v in vec_out)
 
     def test_partial_column_set(self):
         # Streams absent from the column mapping simply have no events.
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, gen = compile_pair(TWO_INPUT)
         ts = list(range(1, 20))
         cols = {"a": [t + 1 for t in ts]}
         out = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, gen):
             collected = []
             m = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
             m.feed_columns(ts, cols)
             m.finish()
             out[compiled.engine] = collected
-        assert out["vector"] == out["plan"]
+        assert out["vector"] == out["codegen"]
 
     def test_unknown_stream(self):
         vec, _ = compile_pair(TWO_INPUT)
@@ -266,10 +265,10 @@ class TestFeedColumns:
     def test_row_shim_rejects_unsorted_timestamps(self):
         # Regression: the base row shim used to accept an unsorted (or
         # merely non-strict) timestamps array that the vector path
-        # rejects — the plan engine silently consumed it.
-        _, plan = compile_pair(TWO_INPUT)
+        # rejects — scalar engines silently consumed it.
+        _, gen = compile_pair(TWO_INPUT)
         for bad_ts in ([1, 1], [2, 1]):
-            monitor = plan.new_monitor()
+            monitor = gen.new_monitor()
             with pytest.raises(MonitorError, match="strictly increasing"):
                 monitor.feed_columns(bad_ts, {"a": [1, 2]})
 
@@ -292,9 +291,9 @@ class TestFeedColumns:
         # Error message AND partial progress must be byte-identical:
         # a rejected columnar batch consumes nothing on either engine,
         # so a clean batch afterwards produces identical outputs.
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, gen = compile_pair(TWO_INPUT)
         results = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, gen):
             collected = []
             m = compiled.new_monitor(
                 lambda n, t, v: collected.append((n, t, v))
@@ -304,24 +303,24 @@ class TestFeedColumns:
             m.feed_columns([5, 6], {"a": [5, 6], "b": [1, 2]})
             m.finish()
             results[compiled.engine] = (str(exc.value), collected)
-        assert results["vector"] == results["plan"]
+        assert results["vector"] == results["codegen"]
 
     def test_stale_timestamp_identical_across_engines(self):
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, gen = compile_pair(TWO_INPUT)
         results = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, gen):
             m = compiled.new_monitor()
             m.feed_columns([1, 2, 3], {"a": [1, 2, 3]})
             with pytest.raises(MonitorError) as exc:
                 m.feed_columns([1, 2], {"a": [9, 9]})
             results[compiled.engine] = str(exc.value)
-        assert results["vector"] == results["plan"]
+        assert results["vector"] == results["codegen"]
 
     def test_empty_batch_validates_columns(self):
         # Zero timestamps is a no-op, but unknown or ragged columns
         # are still reported — on both engines.
-        vec, plan = compile_pair(TWO_INPUT)
-        for compiled in (vec, plan):
+        vec, gen = compile_pair(TWO_INPUT)
+        for compiled in (vec, gen):
             monitor = compiled.new_monitor()
             assert monitor.feed_columns([], {"a": []}) == 0
             with pytest.raises(MonitorError, match="unknown input stream"):
@@ -332,9 +331,9 @@ class TestFeedColumns:
         # same message and zero partial progress as the raw monitor.
         from repro.compiler.runtime import MonitorRunner
 
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, gen = compile_pair(TWO_INPUT)
         results = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, gen):
             collected = []
             runner = MonitorRunner(
                 compiled,
@@ -346,28 +345,28 @@ class TestFeedColumns:
             runner.feed_columns([5, 6], {"a": [5, 6], "b": [1, 2]})
             runner.finish()
             results[compiled.engine] = (str(exc.value), collected)
-        assert results["vector"] == results["plan"]
+        assert results["vector"] == results["codegen"]
 
     def test_after_pending_rows(self):
         # feed_columns after a partially-consumed row batch must merge
         # with the pending timestamp, exactly like another feed_batch.
-        vec, plan = compile_pair(TWO_INPUT)
+        vec, gen = compile_pair(TWO_INPUT)
         out = {}
-        for compiled in (vec, plan):
+        for compiled in (vec, gen):
             collected = []
             m = compiled.new_monitor(lambda n, t, v: collected.append((n, t, v)))
             m.feed_batch([(1, "a", 1), (2, "a", 2)])  # t=2 pending
             m.feed_columns([3, 4], {"b": [7, 8]})
             m.finish()
             out[compiled.engine] = collected
-        assert out["vector"] == out["plan"]
+        assert out["vector"] == out["codegen"]
 
 
 class TestStatefulness:
     def test_snapshot_restore_roundtrip(self):
-        vec, plan = compile_pair(SCALAR_CHAIN)
+        vec, gen = compile_pair(SCALAR_CHAIN)
         events = chain_events(40)
-        expected = run_batches(plan, [events])
+        expected = run_batches(gen, [events])
         first = []
         m1 = vec.new_monitor(lambda n, t, v: first.append((n, t, v)))
         m1.feed_batch(events[:20])
@@ -378,20 +377,92 @@ class TestStatefulness:
         m2.finish()
         assert first == expected
 
-    def test_vector_and_plan_snapshots_interchange(self):
-        # Both engines share the plan-slot state layout, so a vector
-        # snapshot restores into a plan monitor and vice versa.
-        vec, plan = compile_pair(SCALAR_CHAIN)
+    @pytest.mark.parametrize("direction", ["vector->codegen", "codegen->vector"])
+    @pytest.mark.parametrize("cut", [7, 20, 33])
+    def test_vector_and_codegen_snapshots_interchange(self, direction, cut):
+        # The vector monitor runs on the generated class's own state,
+        # so a snapshot taken mid-trace (with a timestamp still pending)
+        # restores into the other engine and the run continues exactly.
+        vec, gen = compile_pair(TWO_INPUT)
+        first, second = (vec, gen) if direction == "vector->codegen" else (gen, vec)
+        events = []
+        for t in range(1, 41):
+            events.append((t, "a", (t * 5) % 9 - 2))
+            if t % 3:
+                events.append((t, "b", t % 4))
+        expected = run_batches(gen, [events])
+        collected = []
+        m1 = first.new_monitor(lambda n, t, v: collected.append((n, t, v)))
+        m1.feed_batch(events[:cut])
+        state = m1.snapshot()
+        m2 = second.new_monitor(lambda n, t, v: collected.append((n, t, v)))
+        assert set(state) == set(m2.snapshot())
+        m2.restore(state)
+        m2.feed_batch(events[cut:])
+        m2.finish()
+        assert collected == expected
+
+    def test_last_state_interchanges(self):
+        vec, gen = compile_pair(SCALAR_CHAIN)
         events = chain_events(40)
-        expected = run_batches(plan, [events])
+        expected = run_batches(gen, [events])
         collected = []
         m1 = vec.new_monitor(lambda n, t, v: collected.append((n, t, v)))
         m1.feed_batch(events[:20])
-        m2 = plan.new_monitor(lambda n, t, v: collected.append((n, t, v)))
+        m2 = gen.new_monitor(lambda n, t, v: collected.append((n, t, v)))
         m2.restore(m1.snapshot())
-        m2.feed_batch(events[20:])
+        for ts, name, value in events[20:]:
+            m2.push(name, ts, value)
         m2.finish()
         assert collected == expected
+
+
+class TestCrossEngineResume:
+    """``repro run --resume`` picks up another engine's checkpoints."""
+
+    @pytest.mark.parametrize(
+        "crashed,resumed", [("vector", "codegen"), ("codegen", "vector")]
+    )
+    def test_cli_resume_across_engines(
+        self, tmp_path, capsys, crashed, resumed
+    ):
+        from repro.cli import main
+
+        spec_file = tmp_path / "chain.tessla"
+        spec_file.write_text(SCALAR_CHAIN)
+        lines = [f"{t},i,{(t * 7) % 13 - 6}" for t in range(1, 200)]
+        full_trace = tmp_path / "full.csv"
+        full_trace.write_text("\n".join(lines) + "\n")
+        partial_trace = tmp_path / "partial.csv"
+        partial_trace.write_text("\n".join(lines[:110]) + "\n")
+
+        reference = tmp_path / "reference.out"
+        assert main([
+            "run", str(spec_file), "--trace", str(full_trace),
+            "--engine", "codegen", "--output", str(reference),
+        ]) == 0
+
+        # "crash": the first run only ever sees a prefix of the trace
+        ckpt_dir = tmp_path / "ckpt"
+        recovered = tmp_path / "recovered.out"
+        assert main([
+            "run", str(spec_file), "--trace", str(partial_trace),
+            "--engine", crashed, "--batch-size", "16",
+            "--checkpoint-dir", str(ckpt_dir), "--checkpoint-every", "32",
+            "--output", str(recovered),
+        ]) == 0
+        assert list(ckpt_dir.glob("*.rckpt"))
+
+        assert main([
+            "run", str(spec_file), "--trace", str(full_trace),
+            "--engine", resumed, "--batch-size", "16",
+            "--checkpoint-dir", str(ckpt_dir), "--checkpoint-every", "32",
+            "--resume", "--output", str(recovered), "--report",
+        ]) == 0
+        report = capsys.readouterr().err
+        # Really resumed from the other engine's checkpoint, not afresh.
+        assert '"resumed_from": "' in report
+        assert recovered.read_bytes() == reference.read_bytes()
 
 
 class TestMetrics:
@@ -429,109 +500,3 @@ class TestMetrics:
         assert run_batches(metered, [events]) == run_batches(
             plain, [events]
         )
-
-
-SPARSE_BRIDGE = """
-in a: Int
-in b: Int
-def agg := count(a)
-def mix := add(a, b)
-out agg
-out mix
-"""
-
-HYBRID_LAST = """
-in a: Int
-in t: Unit
-def dbl := add(a, a)
-def agg := count(t)
-def prev := last(a, t)
-out dbl
-out agg
-out prev
-"""
-
-HYBRID_DELAY = """
-in a: Int
-in r: Unit
-def d := delay(a, r)
-def t := time(d)
-def dbl := add(a, a)
-out t
-out dbl
-"""
-
-
-class TestHybridSparseBridge:
-    """The hybrid loop's bridge is cursor-walked over firing positions
-    only — conversion cost scales with firings, not batch length.  The
-    observable contract stays byte-identical to the plan engine."""
-
-    def _sparse_events(self, n=240):
-        # `a` (the bridged stream) fires on ~1/5 of timestamps; `b`
-        # fires on all of them — the bridge cursor must skip quiet rows.
-        events = []
-        for t in range(1, n + 1):
-            if t % 5 == 0:
-                events.append((t, "a", (t * 7) % 11))
-            events.append((t, "b", t % 9))
-        return events
-
-    @pytest.mark.parametrize("split", [1, 3, 17, 240])
-    def test_sparse_bridge_differential(self, split):
-        vec, plan = compile_pair(SPARSE_BRIDGE)
-        prog = vec.monitor_class.VPROG
-        assert prog is not None and not prog.pure
-        assert prog.bridge, "spec must exercise the eligible->scalar bridge"
-        events = self._sparse_events()
-        batches = [
-            events[i : i + split] for i in range(0, len(events), split)
-        ]
-        assert run_batches(vec, batches) == run_batches(plan, [events])
-
-    @pytest.mark.parametrize("split", [2, 11, 120])
-    def test_vector_last_cells_differential(self, split):
-        vec, plan = compile_pair(HYBRID_LAST)
-        prog = vec.monitor_class.VPROG
-        assert prog is not None and prog.last_vec and prog.bridge
-        events = []
-        for t in range(1, 121):
-            if t % 3 == 0:
-                events.append((t, "a", t * 2))
-            if t % 4 == 0:
-                events.append((t, "t", ()))
-        batches = [
-            events[i : i + split] for i in range(0, len(events), split)
-        ]
-        assert run_batches(vec, batches) == run_batches(plan, [events])
-
-    @pytest.mark.parametrize("split", [1, 5, 60])
-    def test_delay_timestamps_do_not_advance_cursors(self, split):
-        # Delay-generated timestamps have no column index; the bridge,
-        # output and last-cell cursors must hold still across them.
-        vec, plan = compile_pair(HYBRID_DELAY)
-        prog = vec.monitor_class.VPROG
-        assert prog is not None and prog.bridge
-        events = []
-        t = 1
-        for k in range(60):
-            events.append((t, "a", k % 9 + 1))
-            if k % 4 == 0:
-                events.append((t, "r", ()))
-            t += 3
-        batches = [
-            events[i : i + split] for i in range(0, len(events), split)
-        ]
-        assert run_batches(vec, batches, end_time=t + 10) == run_batches(
-            plan, [events], end_time=t + 10
-        )
-
-    def test_all_firing_rows_bridge(self):
-        # Dense case: every timestamp fires every stream; the cursors
-        # advance in lock-step with the column index.
-        vec, plan = compile_pair(SPARSE_BRIDGE)
-        events = []
-        for t in range(1, 101):
-            events.append((t, "a", t))
-            events.append((t, "b", t + 4))
-        assert run_batches(vec, [events]) == run_batches(plan, [events])

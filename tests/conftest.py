@@ -1,15 +1,1 @@
 """Shared fixtures for the whole test tree."""
-
-import pytest
-
-from repro import _deprecation
-
-
-@pytest.fixture(autouse=True)
-def _reset_deprecation_registry():
-    """Deprecation warnings fire once per *process*; tests that assert
-    on them (``pytest.deprecated_call``) must each see a fresh
-    registry, regardless of which test touched the legacy surface
-    first."""
-    _deprecation.reset()
-    yield

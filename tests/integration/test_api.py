@@ -1,10 +1,10 @@
-"""The ``repro.api`` facade: parity with the legacy entry points.
+"""The ``repro.api`` facade: parity with the engine-room entry points.
 
-Every paper-figure spec driven through the deprecated surface
-(``compile_spec`` + ``CompiledSpec.run`` / ``HardenedRunner``) and
-through ``api.compile`` + ``api.run`` must yield identical outputs and
+Every paper-figure spec driven through ``build_compiled_spec`` +
+``CompiledSpec.run_traces`` / ``MonitorRunner`` and through
+``api.compile`` + ``api.run`` must yield identical outputs and
 consistent RunReport counters, for every option combination the facade
-can express.  The legacy names must keep working — but warn.
+can express.
 """
 
 import random
@@ -13,8 +13,8 @@ import warnings
 import pytest
 
 from repro import api
-from repro.compiler import build_compiled_spec, compile_spec, freeze
-from repro.compiler.runtime import HardenedRunner, MonitorRunner
+from repro.compiler import build_compiled_spec, freeze
+from repro.compiler.runtime import MonitorRunner
 from repro.errors import ErrorPolicy
 from repro.speclib import (
     db_access_constraint,
@@ -74,13 +74,11 @@ class TestLegacyParity:
     @pytest.mark.parametrize(
         "name,factory,inputs", FIGURES, ids=[f[0] for f in FIGURES]
     )
-    def test_outputs_identical_to_legacy(self, name, factory, inputs):
+    def test_outputs_identical_to_engine_room(self, name, factory, inputs):
         events = random_events(inputs, 100, 8, seed=11)
 
-        with pytest.deprecated_call():
-            legacy = compile_spec(factory())
-        with pytest.deprecated_call():
-            legacy_streams = legacy.run(as_traces(events))
+        legacy = build_compiled_spec(factory())
+        legacy_streams = legacy.run_traces(as_traces(events))
         legacy_out = {n: s.events for n, s in legacy_streams.items() if s.events}
 
         monitor = api.compile(factory())
@@ -108,16 +106,15 @@ class TestLegacyParity:
         assert report_b.events_in == report_a.events_in
         assert report_b.events_out == report_a.events_out
 
-    def test_runner_parity_with_hardened_runner(self):
+    def test_runner_parity_with_monitor_runner(self):
         events = random_events(["i"], 80, 6, seed=17)
         legacy_out = []
-        with pytest.deprecated_call():
-            runner = HardenedRunner(
-                build_compiled_spec(
-                    seen_set(), error_policy=ErrorPolicy.PROPAGATE
-                ),
-                lambda n, t, v: legacy_out.append((n, t, freeze(v))),
-            )
+        runner = MonitorRunner(
+            build_compiled_spec(
+                seen_set(), error_policy=ErrorPolicy.PROPAGATE
+            ),
+            lambda n, t, v: legacy_out.append((n, t, freeze(v))),
+        )
         runner.feed(events)
         legacy_report = runner.finish()
 
@@ -131,24 +128,6 @@ class TestLegacyParity:
 
 
 class TestDeprecationSurface:
-    def test_compile_spec_warns(self):
-        with pytest.deprecated_call():
-            compile_spec(seen_set())
-
-    def test_compiled_spec_run_warns(self):
-        compiled = build_compiled_spec(seen_set())
-        with pytest.deprecated_call():
-            compiled.run({"i": [(1, 1)]})
-
-    def test_monitor_run_warns(self):
-        compiled = build_compiled_spec(seen_set())
-        with pytest.deprecated_call():
-            compiled.new_monitor().run({"i": [(1, 1)]})
-
-    def test_hardened_runner_warns(self):
-        with pytest.deprecated_call():
-            HardenedRunner(build_compiled_spec(seen_set()))
-
     def test_new_surface_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -160,7 +139,7 @@ class TestDeprecationSurface:
 
 class TestOptionRoundtrips:
     @pytest.mark.parametrize("optimize", [True, False])
-    @pytest.mark.parametrize("engine", ["codegen", "interpreted", "plan"])
+    @pytest.mark.parametrize("engine", ["codegen"])
     @pytest.mark.parametrize("alias_guard", [False, True])
     def test_compile_option_grid(self, optimize, engine, alias_guard):
         events = random_events(["i"], 60, 6, seed=23)

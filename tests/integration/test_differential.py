@@ -3,8 +3,9 @@
 This is the library's central correctness argument: for any
 specification and any input trace, the optimized monitor (mutable
 structures, analysis-chosen order), the non-optimized monitor
-(persistent structures), the naive-copy monitor, and the reference
-interpreter must produce identical output traces.
+(persistent structures), the naive-copy monitor, the engine
+``engine="auto"`` resolves to, and the reference interpreter must
+produce identical output traces.
 """
 
 import random
@@ -45,6 +46,22 @@ def compiled_outputs(spec, inputs, end_time=None, **kwargs):
     compiled = build_compiled_spec(spec, **kwargs)
     results = compiled.run_traces(inputs, end_time=end_time)
     return {name: stream.events for name, stream in results.items()}
+
+
+def batched_outputs(spec, inputs, batch_size, **kwargs):
+    """Outputs of ``api.run`` through the ``feed_batch`` hot path — the
+    path the vector engine runs as columns."""
+    from repro import api
+
+    monitor = api.compile(spec, api.CompileOptions(**kwargs))
+    collected = {name: [] for name in monitor.outputs}
+    api.run(
+        monitor,
+        inputs,
+        api.RunOptions(batch_size=batch_size),
+        on_output=lambda n, t, v: collected[n].append((t, freeze(v))),
+    )
+    return collected
 
 
 def assert_all_agree(spec_factory, inputs, end_time=None):
@@ -167,6 +184,9 @@ class TestRandomSpecs:
         assert optimized == reference
         assert persistent == reference
         assert copying == reference
+        # The documented default: whichever engine "auto" resolves to.
+        assert compiled_outputs(spec, inputs, engine="auto") == reference
+        assert batched_outputs(spec, inputs, 7, engine="auto") == reference
 
     @settings(
         max_examples=40,

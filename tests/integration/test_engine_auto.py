@@ -1,19 +1,33 @@
 """Engine negotiation: ``CompileOptions(engine="auto")``.
 
-``auto`` resolves per spec — ``vector`` when every output-reachable
-family is vector-eligible and numpy is importable, else ``plan`` —
-and the resolution is observable (``Monitor.engine_resolved``),
-explained (``VEC001``/``VEC002`` diagnostics) and fingerprinted (the
-resolved engine, never the literal ``"auto"``, keys plan cache and
-checkpoints).  Explicit engine strings keep working unchanged, and a
-numpy-less process must degrade gracefully.
+``auto`` resolves per spec — ``vector`` when the columnar program
+covers the whole spec and numpy is importable, else ``codegen`` (the
+generated monitor) — and the resolution is observable
+(``Monitor.engine_resolved``) and explained (``VEC001``/``VEC002``
+diagnostics).  Neither engine enters the fingerprint: a vector monitor
+is the generated class with columnar batch paths, so both share plan
+cache entries and checkpoints.  An explicit ``vector`` request on a
+spec it cannot run raises, and a numpy-less process degrades
+gracefully.
 """
+
+import subprocess
+import sys
 
 import pytest
 
 from repro import api
+from repro.bench.table1 import scenarios
 from repro.compiler import kernels
-from repro.speclib import seen_set
+from repro.speclib import (
+    map_window,
+    queue_window,
+    running_aggregate,
+    seen_set,
+    session_window,
+    sliding_window,
+    tumbling_window,
+)
 
 ELIGIBLE = """
 in i: Int
@@ -22,56 +36,114 @@ def d := sub(i, prev)
 out d
 """
 
+#: The alert chain of the columnar benchmark workload: feed-forward
+#: last/sub/add plus a running-max scan.
+ALERT_CHAIN = """
+in x: Int
+def prev := last(x, x)
+def diff := x - prev
+def s := diff + x
+def spike := filter(s, s > 1800000)
+def h := last(hi, x)
+def k := max(h, x)
+def hi := merge(k, x)
+def rise := filter(hi, hi > h)
+out spike, rise
+"""
+
+SEEN_SET_TEXT = """
+in i: Int
+def m  := merge(y, set_empty(unit))
+def yl := last(m, i)
+def y  := set_add(yl, i)
+def s  := set_contains(yl, i)
+out s
+"""
+
 has_numpy = kernels.numpy_available()
 needs_numpy = pytest.mark.skipif(not has_numpy, reason="numpy not installed")
+
+CODEGEN_SPECS = {
+    "fig9_seen_set": seen_set,
+    "fig9_map_window": lambda: map_window(100),
+    "fig9_queue_window": lambda: queue_window(100),
+    "window_tumbling_sum": lambda: tumbling_window("sum", 8),
+    "window_sliding_avg": lambda: sliding_window("avg", 8),
+    "window_session_max": lambda: session_window("max", 3),
+    **{
+        f"table1_{name}": (lambda spec=spec: spec)
+        for name, (spec, _inputs) in scenarios(10).items()
+    },
+}
+
+VECTOR_SPECS = {
+    "alert_chain": lambda: ALERT_CHAIN,
+    "scalar_chain": lambda: ELIGIBLE,
+    "running_sum": lambda: running_aggregate("sum"),
+    "running_max": lambda: running_aggregate("max"),
+}
+
+
+class TestResolutionTable:
+    """The README claim: ``auto`` runs every Fig. 9, Table I and window
+    spec on generated code and every fully columnar spec on the vector
+    engine."""
+
+    @pytest.mark.parametrize("name", sorted(CODEGEN_SPECS))
+    def test_resolves_codegen(self, name):
+        monitor = api.compile(CODEGEN_SPECS[name]())
+        assert monitor.engine_resolved == "codegen"
+        assert "VEC001" in [d.code for d in monitor.diagnostics()]
+
+    @needs_numpy
+    @pytest.mark.parametrize("name", sorted(VECTOR_SPECS))
+    def test_resolves_vector(self, name):
+        monitor = api.compile(VECTOR_SPECS[name]())
+        assert monitor.engine_resolved == "vector"
+        assert not [
+            d for d in monitor.diagnostics() if d.code.startswith("VEC")
+        ]
+
+    @pytest.mark.parametrize("name", sorted(CODEGEN_SPECS))
+    def test_explicit_vector_raises_on_ineligible(self, name):
+        with pytest.raises(ValueError, match="VEC001"):
+            api.compile(
+                CODEGEN_SPECS[name](), api.CompileOptions(engine="vector")
+            )
 
 
 class TestResolution:
     @needs_numpy
-    def test_auto_resolves_vector_when_eligible(self):
-        monitor = api.compile(ELIGIBLE, api.CompileOptions(engine="auto"))
-        assert monitor.engine_requested == "auto"
-        assert monitor.engine_resolved == "vector"
-
-    @needs_numpy
     def test_auto_is_the_default(self):
         monitor = api.compile(ELIGIBLE)
         assert monitor.options.engine == "auto"
+        assert monitor.engine_requested == "auto"
         assert monitor.engine_resolved == "vector"
 
-    def test_auto_resolves_plan_when_ineligible(self):
-        monitor = api.compile(
-            seen_set(), api.CompileOptions(engine="auto")
-        )
-        assert monitor.engine_resolved == "plan"
-        codes = [d.code for d in monitor.diagnostics()]
-        if has_numpy:
-            assert "VEC001" in codes
-        else:
-            assert "VEC002" in codes
-
-    def test_auto_resolves_plan_under_error_policy(self):
+    def test_auto_resolves_codegen_under_error_policy(self):
         monitor = api.compile(
             ELIGIBLE,
             api.CompileOptions(engine="auto", error_policy="propagate"),
         )
-        assert monitor.engine_resolved == "plan"
+        assert monitor.engine_resolved == "codegen"
 
-    @pytest.mark.parametrize(
-        "engine", ["codegen", "interpreted", "plan"]
-    )
-    def test_explicit_strings_unchanged(self, engine):
-        monitor = api.compile(
-            ELIGIBLE, api.CompileOptions(engine=engine)
-        )
-        assert monitor.engine_requested == engine
-        assert monitor.engine_resolved == engine
+    def test_explicit_vector_raises_under_error_policy(self):
+        with pytest.raises(ValueError, match="error policy"):
+            api.compile(
+                ELIGIBLE,
+                api.CompileOptions(engine="vector", error_policy="propagate"),
+            )
 
-    def test_unknown_engine_rejected(self):
+    def test_explicit_codegen_unchanged(self):
+        monitor = api.compile(ELIGIBLE, api.CompileOptions(engine="codegen"))
+        assert monitor.engine_requested == "codegen"
+        assert monitor.engine_resolved == "codegen"
+
+    @pytest.mark.parametrize("engine", ["jit", "plan", "interpreted"])
+    def test_unknown_engine_rejected(self, engine):
         with pytest.raises(ValueError, match="unknown engine"):
-            api.CompileOptions(engine="jit")
+            api.CompileOptions(engine=engine)
 
-    @needs_numpy
     def test_fallback_diagnostic_names_the_family(self):
         monitor = api.compile(
             seen_set(), api.CompileOptions(engine="auto")
@@ -84,13 +156,28 @@ class TestResolution:
         assert diagnostic.witness["rule"] == "vector-fallback"
         assert diagnostic.witness["family"]  # the member streams
         assert diagnostic.witness["reasons"]  # per-stream explanations
+        assert "generated code" in diagnostic.message
+
+    def test_codegen_resolution_does_not_import_numpy(self):
+        # Classification is syntactic; numpy is imported only for a
+        # spec the columnar program covers entirely.
+        code = (
+            "import sys\n"
+            "from repro import api\n"
+            "from repro.speclib import seen_set\n"
+            "m = api.compile(seen_set())\n"
+            "m.diagnostics()\n"
+            "assert m.engine_resolved == 'codegen', m.engine_resolved\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)
 
 
 class TestNumpyLess:
-    def test_auto_falls_back_to_plan(self, monkeypatch):
+    def test_auto_falls_back_to_codegen(self, monkeypatch):
         monkeypatch.setattr(kernels, "_np", None)
         monitor = api.compile(ELIGIBLE, api.CompileOptions(engine="auto"))
-        assert monitor.engine_resolved == "plan"
+        assert monitor.engine_resolved == "codegen"
         assert [d.code for d in monitor.diagnostics()] == ["VEC002"]
         collected = []
         api.run(
@@ -108,34 +195,21 @@ class TestNumpyLess:
 
 class TestFingerprints:
     @needs_numpy
-    def test_auto_shares_fingerprint_with_resolved_engine(self):
-        # The resolved engine — not "auto" — keys caches/checkpoints,
-        # so an auto compile and its explicit twin are interchangeable.
-        auto = api.compile(ELIGIBLE, api.CompileOptions(engine="auto"))
-        explicit = api.compile(
-            ELIGIBLE, api.CompileOptions(engine="vector")
-        )
-        assert auto.fingerprint == explicit.fingerprint
+    def test_engines_share_fingerprint(self):
+        # A vector monitor is the generated class plus columnar batch
+        # paths over the same state: caches and checkpoints are shared.
+        fingerprints = {
+            engine: api.compile(
+                ELIGIBLE, api.CompileOptions(engine=engine)
+            ).fingerprint
+            for engine in ("auto", "codegen", "vector")
+        }
+        assert len(set(fingerprints.values())) == 1
 
-    def test_auto_plan_fallback_shares_plan_fingerprint(self):
-        auto = api.compile(
-            seen_set(), api.CompileOptions(engine="auto")
-        )
-        explicit = api.compile(
-            seen_set(), api.CompileOptions(engine="plan")
-        )
-        assert auto.fingerprint == explicit.fingerprint
-
-    @needs_numpy
-    def test_numpy_presence_forks_auto_fingerprint(self, monkeypatch):
-        with_numpy = api.compile(
-            ELIGIBLE, api.CompileOptions(engine="auto")
-        ).fingerprint
+    def test_numpy_presence_keeps_fingerprint(self, monkeypatch):
+        before = api.compile(ELIGIBLE).fingerprint
         monkeypatch.setattr(kernels, "_np", None)
-        without = api.compile(
-            ELIGIBLE, api.CompileOptions(engine="auto")
-        ).fingerprint
-        assert with_numpy != without
+        assert api.compile(ELIGIBLE).fingerprint == before
 
     @needs_numpy
     def test_plan_cache_roundtrip_under_auto(self, tmp_path):
@@ -156,47 +230,40 @@ class TestFingerprints:
             out[tag] = collected
         assert out["cold"] == out["warm"]
 
+    def test_text_fast_path_under_auto(self, tmp_path):
+        # A spec that is not fully columnar resolves to generated code
+        # whatever numpy's presence, so its warm auto compile takes the
+        # text-keyed fast path (no parse) — and still explains itself.
+        opts = api.CompileOptions(plan_cache=str(tmp_path))
+        cold = api.compile(SEEN_SET_TEXT, opts)
+        warm = api.compile(SEEN_SET_TEXT, opts)
+        assert (cold.plan_cache_hit, warm.plan_cache_hit) == (False, True)
+        assert warm.engine_resolved == "codegen"
+        assert warm.fingerprint == cold.fingerprint
+        assert "deferred" in repr(warm.compiled.flat)
+        assert "VEC001" in [d.code for d in warm.diagnostics()]
+
 
 class TestCliPlumbing:
-    def test_engine_flag_warns_on_engineless_command(self, tmp_path):
-        import warnings
-
-        from repro import _deprecation
-        from repro.cli import main
-
-        spec = tmp_path / "s.tessla"
-        spec.write_text(ELIGIBLE)
-        _deprecation.reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert main(["lint", str(spec), "--engine", "plan"]) == 0
-        assert any(
-            issubclass(w.category, _deprecation.ReproDeprecationWarning)
-            and "--engine is ignored" in str(w.message)
-            for w in caught
-        )
-        _deprecation.reset()
-
-    def test_engine_flag_silent_on_run(self, tmp_path, capsys):
-        import warnings
-
-        from repro import _deprecation
+    def test_engine_flag_on_run(self, tmp_path, capsys):
         from repro.cli import main
 
         spec = tmp_path / "s.tessla"
         spec.write_text(ELIGIBLE)
         trace = tmp_path / "t.csv"
         trace.write_text("1,i,3\n4,i,9\n")
-        _deprecation.reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        for engine in ("auto", "codegen"):
             code = main(
-                ["run", str(spec), "--trace", str(trace), "--engine", "auto"]
+                ["run", str(spec), "--trace", str(trace), "--engine", engine]
             )
-        assert code == 0
-        assert capsys.readouterr().out.splitlines() == ["4,d,6"]
-        assert not [
-            w
-            for w in caught
-            if issubclass(w.category, _deprecation.ReproDeprecationWarning)
-        ]
+            assert code == 0
+            assert capsys.readouterr().out.splitlines() == ["4,d,6"]
+
+    @pytest.mark.parametrize("engine", ["plan", "interpreted"])
+    def test_deleted_engines_rejected(self, tmp_path, engine):
+        from repro.cli import main
+
+        spec = tmp_path / "s.tessla"
+        spec.write_text(ELIGIBLE)
+        with pytest.raises(SystemExit):
+            main(["lint", str(spec), "--engine", engine])

@@ -3,8 +3,9 @@
 Satellite of the rewrite-optimizer PR: for every paper-figure spec,
 every Table 1 scenario and every de-normalized fixture, the monitor
 compiled with ``rewrite=True`` must produce *exactly* the events of
-the monitor compiled without it — across all three execution engines
-and under batched feeding (``feed_batch``).
+the monitor compiled without it — on generated code, on the vector
+engine wherever it runs the spec, and under batched feeding
+(``feed_batch``).
 """
 
 import random
@@ -26,13 +27,7 @@ from repro.speclib import (
 )
 from repro.testing import compiled_outputs, reference_outputs
 
-from repro.compiler.kernels import numpy_available
-
-# The vector engine rides along wherever numpy is present; without it
-# the suite must still pass (engine="vector" then refuses to compile).
-ENGINES = ("codegen", "interpreted", "plan") + (
-    ("vector",) if numpy_available() else ()
-)
+from tests.engines import engines_for
 
 
 def random_trace(names, length, domain, seed, start=1):
@@ -65,8 +60,8 @@ DENORM_TRACES = {
 
 def assert_rewrite_identical(spec_factory, inputs):
     reference = reference_outputs(spec_factory(), inputs)
-    for engine in ENGINES:
-        for rewrite in (False, True):
+    for rewrite in (False, True):
+        for engine in engines_for(spec_factory(), rewrite):
             result = compiled_outputs(
                 spec_factory(), inputs, engine=engine, rewrite=rewrite
             )
@@ -96,8 +91,8 @@ class TestTable1Scenarios:
         spec, inputs = scenarios(200)[name]
         reference = reference_outputs(spec, inputs)
         flat = flatten(spec)
-        for engine in ENGINES:
-            for rewrite in (False, True):
+        for rewrite in (False, True):
+            for engine in engines_for(flat, rewrite):
                 result = compiled_outputs(
                     flat, inputs, engine=engine, rewrite=rewrite
                 )

@@ -17,7 +17,6 @@ import pytest
 from repro import api
 from repro.analysis.diagnostics import Severity
 from repro.cli import main
-from repro.compiler.kernels import numpy_available
 from repro.lang import WindowParams, eligibility_table
 from repro.semantics import Stream, interpret
 from repro.speclib import (
@@ -28,7 +27,7 @@ from repro.speclib import (
     window,
 )
 
-ENGINES = ["codegen", "plan"] + (["vector"] if numpy_available() else [])
+from tests.engines import engines_for
 
 
 def make_events(length=60, seed=3, gappy=True):
@@ -45,7 +44,7 @@ def make_events(length=60, seed=3, gappy=True):
 
 def reference(spec, events):
     """Ground-truth output trace from the reference interpreter."""
-    m = api.compile(spec, api.CompileOptions(engine="plan"))
+    m = api.compile(spec, api.CompileOptions(engine="codegen"))
     out = interpret(m.compiled.flat, {"x": Stream([(t, v) for t, _n, v in events])})
     return [("win", t, v) for t, v in out["win"].events]
 
@@ -89,16 +88,15 @@ FIXTURES = {
     "running-max": lambda: running_aggregate("max"),
 }
 
-# engine x ingestion-mode x rewrite samples covering every axis value.
+# engine x ingestion-mode x rewrite samples covering every axis value;
+# the vector rows run where the columnar program covers the fixture.
 MATRIX = [
     ("codegen", "push", False),
     ("codegen", "batch", True),
-    ("plan", "batch", False),
-    ("plan", "push", True),
-    ("plan", "columns", False),
+    ("codegen", "columns", False),
+    ("vector", "batch", False),
+    ("vector", "columns", True),
 ]
-if numpy_available():
-    MATRIX += [("vector", "batch", False), ("vector", "columns", True)]
 
 
 class TestDifferentialMatrix:
@@ -109,6 +107,8 @@ class TestDifferentialMatrix:
         expected = reference(spec, events)
         assert expected, "fixture produced no output — vacuous test"
         for engine, mode, rewrite in MATRIX:
+            if engine not in engines_for(spec, rewrite):
+                continue
             got = run_engine(spec, events, engine, mode, rewrite)
             assert got == expected, (fixture, engine, mode, rewrite)
 
@@ -119,7 +119,7 @@ class TestDifferentialMatrix:
         events = [(t, "x", 1) for t in range(1, 31)]
         expected = reference(spec, events)
         assert [v for _n, _t, v in expected] == [2] + [3] * 9
-        for engine in ENGINES:
+        for engine in engines_for(spec):
             assert run_engine(spec, events, engine, "batch") == expected
 
 
@@ -171,7 +171,8 @@ class TestMutabilityCertification:
     certified-mutable queues with zero structural copies."""
 
     @pytest.mark.parametrize("aggregate", ["count", "sum", "avg"])
-    @pytest.mark.parametrize("engine", ENGINES)
+    # Window queues are aggregates: only generated code runs them.
+    @pytest.mark.parametrize("engine", ["codegen"])
     def test_sliding_delta_never_copies(self, aggregate, engine):
         spec = sliding_window(aggregate, period=5)
         m = api.compile(spec, api.CompileOptions(engine=engine))
