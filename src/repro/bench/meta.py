@@ -36,7 +36,6 @@ def _git_commit(cwd: Optional[str] = None) -> Optional[str]:
 def bench_metadata(
     cwd: Optional[str] = None,
     *,
-    pool_backend: Optional[str] = None,
     retries: Optional[int] = None,
     fault_injection: Optional[Dict[str, object]] = None,
     transport: Optional[str] = None,
@@ -48,7 +47,6 @@ def bench_metadata(
     UTC), ``python``, ``platform``, ``cpus``.
 
     Pool benchmarks additionally stamp their execution conditions —
-    ``pool_backend`` (which worker backend produced the numbers),
     ``retries`` (supervision retries absorbed during the run),
     ``fault_injection`` (the chaos configuration, if any),
     ``transport`` (the resolved trace data path: ``pipe``, ``shm`` or
@@ -66,8 +64,6 @@ def bench_metadata(
         "platform": platform.platform(),
         "cpus": os.cpu_count(),
     }
-    if pool_backend is not None:
-        meta["pool_backend"] = pool_backend
     if retries is not None:
         meta["retries"] = retries
     if fault_injection is not None:

@@ -74,7 +74,7 @@ class CompiledSpec:
     engine_requested: str = ""
     #: The :class:`~repro.compiler.vector.VectorClassification` computed
     #: for ``auto``/``vector`` engine requests, or ``None``.  Carries the
-    #: per-family eligibility verdicts behind the ``VEC00x`` diagnostics.
+    #: per-stream eligibility reasons behind the ``VEC00x`` diagnostics.
     vector_info: Optional[Any] = None
     #: Content + options fingerprint (sha256 hex).  Keys the plan cache
     #: and the durable checkpoints: two compilations differing in any

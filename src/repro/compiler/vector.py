@@ -38,7 +38,6 @@ and codegen snapshots are therefore interchangeable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import (
     Any,
     Dict,
@@ -62,7 +61,6 @@ from . import kernels
 from .monitor import UNIT_VALUE, MonitorBase, MonitorError
 
 __all__ = [
-    "FamilyVerdict",
     "VectorClassification",
     "classify_vector",
     "make_vector_class",
@@ -72,19 +70,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # Eligibility classification
-
-
-@dataclass(frozen=True)
-class FamilyVerdict:
-    """Vector eligibility of one alias-closed stream family."""
-
-    #: Defined member streams (with replicated scalar prefix), definition order.
-    streams: Tuple[str, ...]
-    #: Output streams owned by the family.
-    outputs: Tuple[str, ...]
-    eligible: bool
-    #: ``(stream, reason)`` pairs for ineligible members; empty when eligible.
-    reasons: Tuple[Tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -118,42 +103,6 @@ class VectorClassification:
         :attr:`columnar` and numpy is importable, else codegen."""
         return "vector" if self.columnar and self.numpy_ok else "codegen"
 
-    @cached_property
-    def verdicts(self) -> Tuple[FamilyVerdict, ...]:
-        """Per-family verdicts over the alias-closed partitions (union-
-        find over usage edges, alias classes never split, replicable
-        scalar prefix copied per family) — the grouping behind the
-        ``VEC001`` notes.  Streams in no family (dead scalar prefix)
-        form one trailing output-less group."""
-        from ..parallel.partition import partition_spec
-
-        flat = self.flat
-        reasons = self.reasons
-        verdicts: List[FamilyVerdict] = []
-        covered: Set[str] = set()
-        for part in partition_spec(flat).partitions:
-            members = list(part.streams)
-            # Passthrough outputs (an input re-exported) have no
-            # defining member; their type still has to be columnar.
-            members += [out for out in part.outputs if out in flat.inputs]
-            covered.update(members)
-            bad = tuple((s, reasons[s]) for s in members if s in reasons)
-            verdicts.append(
-                FamilyVerdict(part.streams, part.outputs, not bad, bad)
-            )
-        rest = tuple(
-            name
-            for name in flat.definitions
-            if name in reasons and name not in covered
-        )
-        if rest:
-            verdicts.append(
-                FamilyVerdict(
-                    rest, (), False, tuple((s, reasons[s]) for s in rest)
-                )
-            )
-        return tuple(verdicts)
-
     def diagnostics(self) -> List[Any]:
         """VEC00x NOTE diagnostics explaining a codegen resolution."""
         from ..analysis.diagnostics import Diagnostic, Severity
@@ -175,31 +124,29 @@ class VectorClassification:
             )
         if not self.reasons:
             return out
-        for verdict in self.verdicts:
-            if verdict.eligible:
-                continue
-            anchor = (
-                verdict.streams[0]
-                if verdict.streams
-                else (verdict.outputs[0] if verdict.outputs else "")
+        # A spec runs wholly on one engine, so one note covers it: the
+        # family is every stream, the reasons every ineligible one.
+        streams = self.flat.streams
+        bad = [
+            (name, self.reasons[name])
+            for name in streams
+            if name in self.reasons
+        ]
+        detail = "; ".join(f"{name}: {reason}" for name, reason in bad)
+        out.append(
+            Diagnostic(
+                code="VEC001",
+                severity=Severity.NOTE,
+                stream=bad[0][0],
+                message="spec falls back to generated code — " + detail,
+                source="vector",
+                witness={
+                    "rule": "vector-fallback",
+                    "family": list(streams),
+                    "reasons": dict(bad),
+                },
             )
-            detail = "; ".join(
-                f"{stream}: {reason}" for stream, reason in verdict.reasons
-            )
-            out.append(
-                Diagnostic(
-                    code="VEC001",
-                    severity=Severity.NOTE,
-                    stream=anchor,
-                    message="family falls back to generated code — " + detail,
-                    source="vector",
-                    witness={
-                        "rule": "vector-fallback",
-                        "family": list(verdict.streams),
-                        "reasons": {s: r for s, r in verdict.reasons},
-                    },
-                )
-            )
+        )
         return out
 
     def require_columnar(self) -> None:
@@ -335,8 +282,7 @@ def classify_vector(
 
     Purely syntactic over the typed flat spec, so it is cheap enough to
     run on every ``auto`` compile.  numpy is imported only when the
-    whole spec is columnar; family grouping for the ``VEC001`` notes is
-    computed only when diagnostics are asked for.
+    whole spec is columnar.
     """
     defined = flat.definitions
     reasons: Dict[str, str] = {}
@@ -352,8 +298,11 @@ def classify_vector(
     # salvageable: the running-aggregate triple, which lowers to a
     # seeded ``ufunc.accumulate`` — when a pass stalls, recognized
     # triples are placed as a unit and the loop resumes.
-    deps_of: Dict[str, Set[str]] = {
-        name: set(free_vars(expr))
+    # Dependencies in reference order (not a set): the first ineligible
+    # one names the demotion reason, which must not vary with the hash
+    # seed.
+    deps_of: Dict[str, Tuple[str, ...]] = {
+        name: tuple(dict.fromkeys(free_vars(expr)))
         for name, expr in defined.items()
         if name not in reasons
     }

@@ -1,50 +1,25 @@
-"""Parallel execution subsystem.
+"""Parallel execution subsystem: one spec, many traces, many workers.
 
-Two orthogonal axes of parallelism, both justified by the paper's
-static analysis:
+:mod:`repro.parallel.pool` runs one compiled specification over many
+independent traces/sessions across a *supervised* worker pool
+(:mod:`repro.parallel.supervisor`).  Workers are forked processes
+warm-started from the on-disk plan cache (only the spec text and
+fingerprint-keyed cache files cross the process boundary) and overseen
+with per-trace leases: heartbeats, deadlines, death/hang detection,
+automatic restarts, capped-exponential-backoff re-dispatch
+(:class:`RetryPolicy`) and poison-trace quarantine (:class:`FaultPlan`
+injects the whole failure matrix deterministically for tests).  Trace
+payloads travel as shared-memory arena descriptors
+(:mod:`repro.parallel.shm`) or pickled over the worker pipe.
+In-flight batches are bounded (backpressure), results are collected
+exactly once in submission order, and exhausted traces degrade per the
+compiled spec's :class:`~repro.errors.ErrorPolicy`.  ``jobs <= 1`` (or
+a platform without ``fork``) runs the same retry loop in-process.
 
-* **Intra-spec partition parallelism**
-  (:mod:`repro.parallel.partition`, :mod:`repro.parallel.partitioned`)
-  — the mutability/aliasing analysis (§IV-B, Defs. 4-6) tells us
-  exactly which streams may carry the same data structure at the same
-  timestamp.  Unioning the usage graph's dependency components with
-  the potential-alias classes yields *alias-closed, shared-nothing
-  partitions*: sub-specifications that never exchange an aggregate
-  reference and can therefore execute concurrently without violating
-  the in-place-update guarantee.  :class:`PartitionedRunner` compiles
-  each partition to its own monitor and drives them per timestamp
-  batch with a barrier at batch boundaries, merging outputs back into
-  the exact emission order of the single-process monitor.
-
-* **Multi-trace data parallelism** (:mod:`repro.parallel.pool`,
-  :mod:`repro.parallel.supervisor`) — one compiled specification over
-  many independent traces/sessions across a *supervised* worker pool.
-  The process backend forks workers warm-started from the on-disk plan
-  cache (only the spec text and fingerprint-keyed cache files cross
-  the process boundary) and oversees them with per-trace leases:
-  heartbeats, deadlines, death/hang detection, automatic restarts,
-  capped-exponential-backoff re-dispatch (:class:`RetryPolicy`) and
-  poison-trace quarantine (:class:`FaultPlan` injects the whole
-  failure matrix deterministically for tests).  In-flight batches are
-  bounded (backpressure), results are collected exactly once in
-  submission order, and exhausted traces degrade per the compiled
-  spec's :class:`~repro.errors.ErrorPolicy`.
-
-Both axes are reachable from :mod:`repro.api`
-(``RunOptions(partition="auto", jobs=N)`` and :func:`repro.api.run_many`)
-and from the CLI (``--partition auto --jobs N``).  See
-``docs/parallel.md`` for the partitioning model and the safety
-argument.
+Reachable from :mod:`repro.api` (:func:`repro.api.run_many`) and from
+the CLI (``run-many --jobs N``).  See ``docs/parallel.md``.
 """
 
-from .partition import (
-    Partition,
-    PartitionError,
-    PartitionPlan,
-    partition_flatspec,
-    partition_spec,
-)
-from .partitioned import PartitionedRunner
 from .pool import MonitorPool, PoolError, PoolResult, TraceResult
 from .shm import ArenaDescriptor, TraceArena
 from .supervisor import (
@@ -60,10 +35,6 @@ __all__ = [
     "ArenaDescriptor",
     "AttemptRecord",
     "FaultPlan",
-    "Partition",
-    "PartitionError",
-    "PartitionPlan",
-    "PartitionedRunner",
     "MonitorPool",
     "PoisonTraceError",
     "PoolError",
@@ -73,6 +44,4 @@ __all__ = [
     "SupervisorStats",
     "TraceArena",
     "TraceResult",
-    "partition_flatspec",
-    "partition_spec",
 ]

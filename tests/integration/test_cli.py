@@ -82,6 +82,21 @@ class TestErrors:
         assert "expected" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("command", ["run", "profile"])
+    def test_crashing_lift_is_one_error_line(self, command, tmp_path, capsys):
+        # A lift raising mid-trace (division by zero) must surface as a
+        # nonzero exit with one diagnostic line, never a traceback.
+        spec = tmp_path / "div.tessla"
+        spec.write_text("in a: Int\ndef q := div(a, a)\nout q\n")
+        trace = tmp_path / "t.csv"
+        trace.write_text("1,a,3\n2,a,0\n3,a,5\n")
+        assert main([command, str(spec), "--trace", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestValueParsing:
     def test_bool_and_float_inputs(self, tmp_path, capsys):
         spec = tmp_path / "s.tessla"

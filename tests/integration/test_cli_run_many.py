@@ -107,24 +107,14 @@ class TestRunMany:
             "2,2,s,True",
         ]
 
-    @pytest.mark.parametrize("backend", ["process", "thread"])
-    def test_backends_produce_identical_output(
-        self, tmp_path, seen_spec, capsys, backend
+    def test_pool_output_matches_sequential(
+        self, tmp_path, seen_spec, capsys
     ):
         traces = write_traces(
             tmp_path, "i", [[(t, t % 3) for t in range(1, 8)]] * 3
         )
         rc = main(
-            [
-                "run-many",
-                seen_spec,
-                "--traces",
-                *traces,
-                "--jobs",
-                "2",
-                "--pool-backend",
-                backend,
-            ]
+            ["run-many", seen_spec, "--traces", *traces, "--jobs", "2"]
         )
         pooled = capsys.readouterr().out
         assert rc == 0

@@ -210,6 +210,30 @@ class TestRandomSpecs:
         for constraint in result.active_constraints:
             assert position[constraint.reader] < position[constraint.writer]
 
+    def test_generator_reaches_the_vector_engine(self):
+        # Classification is syntactic, so this needs no numpy; with
+        # numpy, such a draw runs columnar in test_all_backends_agree.
+        from hypothesis import find
+
+        from repro.compiler import kernels
+        from repro.compiler.vector import classify_vector
+        from repro.lang.typecheck import check_types
+
+        def columnar(spec):
+            flat = flatten(spec)
+            check_types(flat)
+            return classify_vector(flat).columnar
+
+        spec = find(
+            specifications(),
+            columnar,
+            settings=settings(database=None, max_examples=200),
+        )
+        if kernels.numpy_available():
+            from repro import api
+
+            assert api.compile(spec).engine_resolved == "vector"
+
 
 class TestExtensionSpecs:
     @pytest.mark.parametrize("size", [1, 3, 5])

@@ -93,7 +93,9 @@ class TestResolutionTable:
     def test_resolves_codegen(self, name):
         monitor = api.compile(CODEGEN_SPECS[name]())
         assert monitor.engine_resolved == "codegen"
-        assert "VEC001" in [d.code for d in monitor.diagnostics()]
+        # The whole spec falls back, so one note carries every reason.
+        codes = [d.code for d in monitor.diagnostics()]
+        assert codes.count("VEC001") == 1
 
     @needs_numpy
     @pytest.mark.parametrize("name", sorted(VECTOR_SPECS))

@@ -1,9 +1,6 @@
-"""Metrics plumbing through the api facade and the parallel subsystem."""
-
-import pytest
+"""Metrics plumbing through the api facade and the worker pool."""
 
 from repro import api
-from repro.compiler.monitor import freeze
 from repro.compiler.plancache import PlanCache
 from repro.lang.compose import compose, rename, substitute_inputs
 from repro.obs.export import to_prometheus
@@ -15,22 +12,22 @@ def seen_set_events(length=60, domain=8, stream="i"):
     return [(t, stream, t % domain) for t in range(1, length + 1)]
 
 
-def collect(monitor, events, options=None):
-    out = []
-    api.run(
-        monitor,
-        events,
-        options,
-        on_output=lambda n, t, v: out.append((n, t, freeze(v))),
-    )
-    return out
-
-
 def composed_two_families():
-    """Two disjoint seen-set families: a genuinely partitionable spec."""
+    """Two disjoint seen-set families in one spec."""
     left = substitute_inputs(rename(seen_set(), "a_"), {"i": "a_i"})
     right = substitute_inputs(rename(seen_set(), "b_"), {"i": "b_i"})
     return compose(left, right)
+
+
+def two_family_traces(count):
+    return [
+        sorted(
+            seen_set_events(20 + k, stream="a_i")
+            + seen_set_events(30 - k, domain=5, stream="b_i"),
+            key=lambda e: e[0],
+        )
+        for k in range(count)
+    ]
 
 
 class TestMonitorMetrics:
@@ -84,44 +81,6 @@ class TestPlanCacheCounters:
         assert DEFAULT_REGISTRY.snapshot()["counters"] == before
 
 
-class TestPartitionedMetrics:
-    def test_partitioned_run_merges_stream_stats(self):
-        spec = composed_two_families()
-        events = seen_set_events(40, stream="a_i") + [
-            (t, "b_i", t % 5) for t in range(1, 41)
-        ]
-        events.sort(key=lambda e: e[0])
-        monitor = api.compile(spec)
-        report = api.run(
-            monitor,
-            events,
-            api.RunOptions(partition="auto", jobs=2, metrics=True),
-        )
-        streams = report.metrics["streams"]
-        assert streams["a_seen"]["inplace_updates"] == 40
-        assert streams["b_seen"]["inplace_updates"] == 40
-        assert streams["a_seen"]["copies_performed"] == 0
-
-    def test_partitioned_outputs_unchanged_by_metrics(self):
-        spec = composed_two_families()
-        events = sorted(
-            seen_set_events(30, stream="a_i")
-            + seen_set_events(30, stream="b_i"),
-            key=lambda e: e[0],
-        )
-        plain = collect(
-            api.compile(spec),
-            events,
-            api.RunOptions(partition="auto", jobs=2),
-        )
-        instrumented = collect(
-            api.compile(spec),
-            events,
-            api.RunOptions(partition="auto", jobs=2, metrics=True),
-        )
-        assert instrumented == plain
-
-
 class TestPoolMetrics:
     def test_run_many_merges_worker_snapshots(self):
         traces = [seen_set_events(25, domain=d + 3) for d in range(4)]
@@ -147,3 +106,30 @@ class TestPoolMetrics:
         assert result.report.metrics["streams"]["seen"][
             "inplace_updates"
         ] == 25
+
+    def test_pool_merges_per_family_stream_stats(self):
+        traces = two_family_traces(3)
+        result = api.run_many(
+            api.compile(composed_two_families()),
+            traces,
+            api.RunOptions(jobs=2, metrics=True),
+        )
+        streams = result.report.metrics["streams"]
+        for prefix in ("a_", "b_"):
+            assert streams[prefix + "seen"]["inplace_updates"] == sum(
+                1 for t in traces for _, name, _ in t if name == prefix + "i"
+            )
+            assert streams[prefix + "seen"]["copies_performed"] == 0
+
+    def test_pool_outputs_unchanged_by_metrics(self):
+        traces = two_family_traces(3)
+        monitor = api.compile(composed_two_families())
+        plain = api.run_many(monitor, traces, api.RunOptions(jobs=2))
+        instrumented = api.run_many(
+            api.compile(composed_two_families()),
+            traces,
+            api.RunOptions(jobs=2, metrics=True),
+        )
+        assert plain.report.metrics is None
+        assert any(plain.outputs())
+        assert instrumented.outputs() == plain.outputs()

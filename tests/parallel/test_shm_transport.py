@@ -214,7 +214,7 @@ class TestEquivalence:
         results = {}
         for transport in ("pipe", "shm"):
             pool = MonitorPool(
-                spec, jobs=2, backend="process", transport=transport
+                spec, jobs=2, transport=transport
             )
             result = pool.run_many(traces)
             assert result.transport == transport
@@ -233,23 +233,21 @@ class TestEquivalence:
         # must still match.
         traces = make_traces(4)
         pipe = MonitorPool(
-            SEEN_SET_TEXT, jobs=2, backend="process", transport="pipe"
+            SEEN_SET_TEXT, jobs=2, transport="pipe"
         ).run_many(traces, validate_inputs=True)
         shm = MonitorPool(
-            SEEN_SET_TEXT, jobs=2, backend="process", transport="shm"
+            SEEN_SET_TEXT, jobs=2, transport="shm"
         ).run_many(traces, validate_inputs=True)
         assert shm.outputs() == pipe.outputs()
         assert shm.failures == pipe.failures == 0
 
     def test_auto_resolves_to_shm_when_available(self):
-        pool = MonitorPool(SEEN_SET_TEXT, jobs=2, backend="process")
+        pool = MonitorPool(SEEN_SET_TEXT, jobs=2)
         result = pool.run_many(make_traces(2))
         assert result.transport == "shm"
 
-    def test_thread_backend_is_inline(self):
-        pool = MonitorPool(
-            SEEN_SET_TEXT, jobs=2, backend="thread", transport="shm"
-        )
+    def test_sequential_is_inline(self):
+        pool = MonitorPool(SEEN_SET_TEXT, jobs=1, transport="shm")
         result = pool.run_many(make_traces(2))
         assert result.transport == "inline"
 

@@ -1,4 +1,4 @@
-"""Shared helpers for the parallel-subsystem tests."""
+"""Shared helpers for the worker-pool tests."""
 
 from __future__ import annotations
 
